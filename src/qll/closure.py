@@ -194,6 +194,9 @@ class ExplicitSpace(ClosureSpace):
         self._mask_set: frozenset[int] = frozenset(masks)
         self._family: tuple[AtomSet, ...] = tuple(AtomSet(n, m) for m in masks)
         self._coatom_masks: tuple[int, ...] | None = None
+        # closure kernel, built on first use (see closure_mask)
+        self._extent: tuple[int, ...] | None = None
+        self._upper_covers: dict[int, tuple[int, ...]] = {}
 
     @property
     def is_explicit(self) -> bool:
@@ -211,14 +214,58 @@ class ExplicitSpace(ClosureSpace):
         return mask in self._mask_set
 
     def closure_mask(self, mask: int) -> int:
-        """Intersection of all closed supersets (the universe if none other)."""
-        acc = self.full_mask()
-        for m in self._masks:
-            if mask & ~m == 0:
-                acc &= m
-                if acc == mask:
-                    return acc
-        return acc
+        """Intersection of all closed supersets (the universe if none other).
+
+        Works on the transposed context: extent[p] is a bitset over family
+        indices marking the closed sets that contain atom p.  The closed
+        supersets of mask are the indices in the AND of extent[p] over the
+        atoms of mask, and their intersection is every atom q whose extent
+        holds all of those indices.  The index is built on the first call
+        that needs it, so spaces that are only constructed never pay for it.
+        """
+        if mask in self._mask_set:
+            return mask
+        extent = self._extent
+        if extent is None:
+            extent = self._extent = self._build_extent()
+        idx = (1 << len(self._masks)) - 1
+        for p in bit_members(mask):
+            idx &= extent[p]
+        out = 0
+        for q, e in enumerate(extent):
+            if e & idx == idx:
+                out |= 1 << q
+        return out
+
+    def _build_extent(self) -> tuple[int, ...]:
+        size = len(self._masks)
+        # one '0'/'1' digit string per atom, family index i at digit size-1-i
+        cols = [bytearray(b"0" * size) for _ in range(self.universe_size)]
+        for i, m in enumerate(self._masks):
+            for p in bit_members(m):
+                cols[p][size - 1 - i] = ord("1")
+        return tuple(int(c, 2) for c in cols)
+
+    def upper_cover_masks(self, lo: int) -> tuple[int, ...]:
+        """Upper covers of lo in canonical order, memoised per lo.
+
+        Every closed set strictly above lo contains cl(lo ∪ {p}) for some
+        atom p outside lo, so the upper covers are the minimal sets among
+        those closures.  lo ⋖ hi iff hi is in the result.  This assumes the
+        family is closed under intersection, so that each cl(lo ∪ {p}) is a
+        member; every product and space_from_json guarantee that.
+        """
+        ups = self._upper_covers.get(lo)
+        if ups is None:
+            cands = {
+                self.closure_mask(lo | 1 << p)
+                for p in range(self.universe_size)
+                if not lo >> p & 1
+            }
+            minimal = [c for c in cands if not any(d != c and d & ~c == 0 for d in cands)]
+            ups = tuple(sorted(minimal, key=canonical_mask_key))
+            self._upper_covers[lo] = ups
+        return ups
 
     def coatom_masks(self) -> tuple[int, ...]:
         """Maximal proper closed sets, cached."""
@@ -358,27 +405,24 @@ def covers(space: ClosureSpace, lower: AtomSet, upper: AtomSet) -> bool:
     sp = _require_explicit(space, "covers")
     _require_closed(sp, lower, "lower")
     _require_closed(sp, upper, "upper")
-    lo, hi = lower.mask, upper.mask
-    if lo == hi or lo & ~hi:
-        return False
-    for m in sp.masks:
-        if m != lo and m != hi and lo & ~m == 0 and m & ~hi == 0:
-            return False
-    return True
+    return upper.mask in sp.upper_cover_masks(lower.mask)
 
 
 def upper_covers(space: ClosureSpace, a: AtomSet) -> tuple[AtomSet, ...]:
     """Minimal closed sets strictly above a, in canonical order."""
     sp = _require_explicit(space, "upper_covers")
     _require_closed(sp, a, "argument")
-    lo = a.mask
-    above = [m for m in sp.masks if m != lo and lo & ~m == 0]
-    out = [
-        m
-        for m in above
-        if not any(c != m and lo & ~c == 0 and c & ~m == 0 for c in above)
-    ]
-    return tuple(AtomSet(sp.universe_size, m) for m in out)
+    return tuple(AtomSet(sp.universe_size, m) for m in sp.upper_cover_masks(a.mask))
+
+
+def _first_between(sp: ExplicitSpace, lo: int, hi: int) -> int:
+    """First closed set in canonical order strictly between lo and hi, which
+    the cover relation says exists unless the family is not closed under
+    intersection."""
+    for m in sp.masks:
+        if m != lo and m != hi and lo & ~m == 0 and m & ~hi == 0:
+            return m
+    raise ContractViolation("the family is not closed under intersection")
 
 
 def coatoms(space: ClosureSpace) -> tuple[AtomSet, ...]:
@@ -413,21 +457,26 @@ def find_covering_violation(space: ClosureSpace) -> CoveringViolation | None:
     """First (canonical order) failure of the covering property, if any.
 
     Covering property: for every closed a and atom p outside a, the join
-    a ∨ p covers a.
+    a ∨ p covers a.  Two upper covers of a meet in a, and an atom p inside
+    an upper cover u has a ∨ p = u, so the property holds at a iff the upper
+    covers of a together hold every atom; the first atom they miss is the
+    first violation.  Like the cover relation, this assumes the family is
+    closed under intersection.
     """
     sp = _require_explicit(space, "covering property")
-    n = sp.universe_size
-    masks = sp.masks
-    for lo in masks:
-        for p in range(n):
-            if lo >> p & 1:
-                continue
-            hi = sp.closure_mask(lo | (1 << p))
-            for m in masks:
-                if m != lo and m != hi and lo & ~m == 0 and m & ~hi == 0:
-                    return CoveringViolation(
-                        bit_members(lo), p, bit_members(hi), bit_members(m)
-                    )
+    full = sp.full_mask()
+    for lo in sp.masks:
+        covered = lo
+        for hi in sp.upper_cover_masks(lo):
+            covered |= hi
+        missing = full & ~covered
+        if missing:
+            p = (missing & -missing).bit_length() - 1
+            hi = sp.closure_mask(lo | 1 << p)
+            between = _first_between(sp, lo, hi)
+            return CoveringViolation(
+                bit_members(lo), p, bit_members(hi), bit_members(between)
+            )
     return None
 
 
@@ -438,13 +487,11 @@ def has_covering_property(space: ClosureSpace) -> bool:
 def is_atomistic(space: ClosureSpace) -> bool:
     """Every closed set is the join of the atoms below it.
 
-    True by construction for simple closure spaces (each closed set is
-    literally a set of atoms); kept as a cheap sanity predicate.
+    Always True for an explicit space: each member is a set of atoms and,
+    being one of the closed sets it is intersected over, its own closure.
+    Kept so reports and is_dac can name the property.
     """
-    sp = _require_explicit(space, "is_atomistic")
-    for m in sp.masks:
-        if sp.closure_mask(m) != m:
-            return False
+    _require_explicit(space, "is_atomistic")
     return True
 
 
@@ -490,20 +537,24 @@ def find_dual_covering_violation(space: ClosureSpace) -> DualCoveringViolation |
     universe.  The dual covering property therefore reads: for every closed a
     and coatom x with a ∨ x = universe, a ∩ x is covered by a (in the primal
     order, nothing sits strictly between a ∩ x and a).
+
+    The only closed sets containing a coatom x are x and the universe, so
+    a ∨ x = universe iff a ⊄ x.  Like the cover relation, the test that a
+    covers a ∩ x assumes the family is closed under intersection.
     """
     sp = _require_explicit(space, "dual covering property")
-    full = sp.full_mask()
-    masks = sp.masks
-    for a in masks:
+    for a in sp.masks:
         for x in sp.coatom_masks():
-            if sp.closure_mask(a | x) != full:
+            if a & ~x == 0:
                 continue
             lo = a & x
-            for m in masks:
-                if m != lo and m != a and lo & ~m == 0 and m & ~a == 0:
-                    return DualCoveringViolation(
-                        bit_members(a), bit_members(x), bit_members(lo), bit_members(m)
-                    )
+            if a not in sp.upper_cover_masks(lo):
+                return DualCoveringViolation(
+                    bit_members(a),
+                    bit_members(x),
+                    bit_members(lo),
+                    bit_members(_first_between(sp, lo, a)),
+                )
     return None
 
 

@@ -26,13 +26,9 @@ def export_dot(
     masks = sp.masks
     idx = {m: i for i, m in enumerate(masks)}
 
-    # cover pairs: lo < hi with nothing properly between
-    edges: list[tuple[int, int]] = []
-    for lo in masks:
-        ups = [m for m in masks if m != lo and lo & ~m == 0]
-        for hi in ups:
-            if not any(c != hi and lo & ~c == 0 and c & ~hi == 0 for c in ups):
-                edges.append((idx[lo], idx[hi]))
+    edges = [
+        (i, idx[hi]) for i, lo in enumerate(masks) for hi in sp.upper_cover_masks(lo)
+    ]
 
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box, fontsize=10];']
     for i, s in enumerate(sp.family):

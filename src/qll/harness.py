@@ -295,10 +295,13 @@ def _check(name: str, passed: bool, **details) -> CheckResult:
 # ---------------------------------------------------------------------------
 # pipelines
 
-PipelineResult = tuple[list[CheckResult], dict, dict, tuple[str, ...]]
+# A pipeline appends its checks to the list verify passes in, so the checks
+# finished before a budget overrun survive into the report, and returns
+# (certificates, artifacts, instance names).
+PipelineResult = tuple[dict, dict, tuple[str, ...]]
 
 
-def _pair_relation(
+def pair_relation(
     grid_n1: int,
     grid_n2: int,
     rel1: OrthogonalityRelation,
@@ -330,18 +333,17 @@ def _search_summary(res) -> dict:
 
 
 def _pipeline_only_bottom_has_ortho(
-    lname: str, rname: str, budgets: Budgets
+    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
     left = resolve_base(lname, budgets)
     right = resolve_base(rname, budgets)
     rel1 = _require_relation(left)
     rel2 = _require_relation(right)
-    checks: list[CheckResult] = []
     certs: dict = {}
     artifacts: dict = {}
 
     sep = sep_product(left.space, right.space, budgets)
-    pair_rel = _pair_relation(
+    pair_rel = pair_relation(
         sep.grid.n1, sep.grid.n2, rel1, rel2
     )
     cons = ortho_from_atom_orthogonality(sep.space, pair_rel)
@@ -415,11 +417,11 @@ def _pipeline_only_bottom_has_ortho(
         names.append(f"down({lname},{rname})")
         artifacts[names[-1]] = down.to_json()
 
-    return checks, certs, artifacts, tuple(names)
+    return certs, artifacts, tuple(names)
 
 
 def _pipeline_bottom_not_orthomodular(
-    lname: str, rname: str, budgets: Budgets
+    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
     left = resolve_base(lname, budgets)
     right = resolve_base(rname, budgets)
@@ -427,11 +429,10 @@ def _pipeline_bottom_not_orthomodular(
         raise InputError("this claim is about non-powerset factors")
     rel1 = _require_relation(left)
     rel2 = _require_relation(right)
-    checks: list[CheckResult] = []
     certs: dict = {}
 
     sep = sep_product(left.space, right.space, budgets)
-    pair_rel = _pair_relation(sep.grid.n1, sep.grid.n2, rel1, rel2)
+    pair_rel = pair_relation(sep.grid.n1, sep.grid.n2, rel1, rel2)
     cons = ortho_from_atom_orthogonality(sep.space, pair_rel)
     checks.append(_check("cross_relation_is_ortho", cons.ok, failure=cons.failure))
 
@@ -459,15 +460,14 @@ def _pipeline_bottom_not_orthomodular(
         certs["covering_witness"] = cov.to_json()
 
     name = f"sep({lname},{rname})"
-    return checks, certs, {name: sep.to_json()}, (name,)
+    return certs, {name: sep.to_json()}, (name,)
 
 
 def _pipeline_top_lacks_covering(
-    lname: str, rname: str, budgets: Budgets
+    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
     left = resolve_base(lname, budgets)
     right = resolve_base(rname, budgets)
-    checks: list[CheckResult] = []
     certs: dict = {}
 
     checks.append(_check("four_atom_condition_left", four_atom_condition(left.space)))
@@ -486,15 +486,14 @@ def _pipeline_top_lacks_covering(
         certs["covering_witness"] = cov.to_json()
 
     name = f"top({lname},{rname})"
-    return checks, certs, {name: top.to_json()}, (name,)
+    return certs, {name: top.to_json()}, (name,)
 
 
 def _pipeline_bottom_equals_top_iff_boolean(
-    lname: str, rname: str, budgets: Budgets
+    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
     left = resolve_base(lname, budgets)
     right = resolve_base(rname, budgets)
-    checks: list[CheckResult] = []
     certs: dict = {}
 
     # hypothesis: every non-powerset factor has two atoms whose join contains
@@ -536,15 +535,14 @@ def _pipeline_bottom_equals_top_iff_boolean(
         certs["bijection_graph"] = [list(sep.grid.unindex(k)) for k in bit_members(graph)]
 
     names = (f"sep({lname},{rname})", f"top({lname},{rname})")
-    return checks, certs, {names[0]: sep.to_json(), names[1]: top.to_json()}, names
+    return certs, {names[0]: sep.to_json(), names[1]: top.to_json()}, names
 
 
 def _pipeline_automorphisms_decompose(
-    lname: str, rname: str, budgets: Budgets
+    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
     left = resolve_base(lname, budgets)
     right = resolve_base(rname, budgets)
-    checks: list[CheckResult] = []
     certs: dict = {}
     artifacts: dict = {}
 
@@ -617,17 +615,16 @@ def _pipeline_automorphisms_decompose(
             )
         certs[f"{kind}_group_order"] = len(group)
 
-    return checks, certs, artifacts, tuple(names)
+    return certs, artifacts, tuple(names)
 
 
 def _pipeline_down_properties(
-    lname: str, rname: str, budgets: Budgets
+    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
     left = resolve_base(lname, budgets)
     right = resolve_base(rname, budgets)
     if left.model is None or right.model is None:
         raise InputError("this claim needs finite-field factors")
-    checks: list[CheckResult] = []
     certs: dict = {}
 
     down = down_product(left.model, right.model, budgets)
@@ -760,11 +757,11 @@ def _pipeline_down_properties(
     )
 
     name = f"down({lname},{rname})"
-    return checks, certs, {name: down.to_json()}, (name,)
+    return certs, {name: down.to_json()}, (name,)
 
 
 def _pipeline_entangling_graph(
-    lname: str, rname: str, budgets: Budgets
+    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
     left = resolve_base(lname, budgets)
     right = resolve_base(rname, budgets)
@@ -772,7 +769,6 @@ def _pipeline_entangling_graph(
         raise InputError("this claim needs finite-field factors")
     if left.model.n < 2 or right.model.n < 2:
         raise InputError("factors need dimension at least 2")
-    checks: list[CheckResult] = []
     certs: dict = {}
 
     tm = tensor_model(left.model, right.model)
@@ -812,7 +808,7 @@ def _pipeline_entangling_graph(
     checks.append(_check("graph_not_in_sep", not sep.space.contains_mask(graph.mask)))
 
     name = f"down({lname},{rname})"
-    return checks, certs, {name: down.to_json()}, (name,)
+    return certs, {name: down.to_json()}, (name,)
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +820,7 @@ class ClaimSpec:
     claim: str
     default_left: str
     default_right: str
-    pipeline: Callable[[str, str, Budgets], PipelineResult]
+    pipeline: Callable[[str, str, Budgets, list[CheckResult]], PipelineResult]
     analog: bool = False
 
 
@@ -901,15 +897,16 @@ def verify(
     lname = left or spec.default_left
     rname = right or spec.default_right
     start = time.perf_counter()
+    checks: list[CheckResult] = []
     try:
-        checks, certs, artifacts, names = spec.pipeline(lname, rname, budgets)
+        certs, artifacts, names = spec.pipeline(lname, rname, budgets, checks)
     except BudgetExceeded as exc:
         return TheoremReport(
             theorem=theorem_id,
             claim=spec.claim,
             instances=(lname, rname),
             verdict=VERDICT_BUDGET,
-            checks=(),
+            checks=tuple(checks),
             certificates={"budget": exc.budget_name, "cap": exc.cap},
             artifacts={},
             elapsed_seconds=time.perf_counter() - start,

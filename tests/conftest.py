@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from qll.harness import _pair_relation, resolve_base
+from qll.harness import pair_relation, resolve_base
 from qll.ortho import ortho_from_atom_orthogonality
 from qll.products import (
     down_product,
@@ -63,7 +63,7 @@ def down_gg(gf3_2):
 
 @pytest.fixture(scope="session")
 def pair_rel_mm(mo2, sep_mm):
-    return _pair_relation(
+    return pair_relation(
         sep_mm.grid.n1, sep_mm.grid.n2, mo2.relation, mo2.relation
     )
 

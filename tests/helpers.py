@@ -215,3 +215,78 @@ def family_as_sets(space):
 
 def product_family_as_sets(space, n1, n2):
     return {grid_set(m, n1, n2) for m in space.masks}
+
+
+# ---------------------------------------------------------------------------
+# Slow paths: the linear family scans that ExplicitSpace's closure kernel and
+# cover relation replaced.  Unlike the oracles above they work on raw masks in
+# the library's canonical family order, so their first witnesses are the
+# ones the fast path must reproduce exactly.
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def linear_closure_mask(masks, full, mask):
+    """Intersection of the members of masks that contain mask (full if none)."""
+    acc = full
+    for m in masks:
+        if mask & ~m == 0:
+            acc &= m
+            if acc == mask:
+                return acc
+    return acc
+
+
+def linear_first_between(masks, lo, hi):
+    """First member of masks strictly between lo and hi, or None."""
+    for m in masks:
+        if m != lo and m != hi and lo & ~m == 0 and m & ~hi == 0:
+            return m
+    return None
+
+
+def linear_upper_covers(masks, lo):
+    """Members strictly above lo with no member strictly between, in order."""
+    above = [m for m in masks if m != lo and lo & ~m == 0]
+    return tuple(m for m in above if linear_first_between(above, lo, m) is None)
+
+
+def linear_covering_violation(space):
+    """JSON witness of the first covering failure by linear scans, or None."""
+    masks, full = space.masks, space.full_mask()
+    for lo in masks:
+        for p in range(space.universe_size):
+            if lo >> p & 1:
+                continue
+            hi = linear_closure_mask(masks, full, lo | 1 << p)
+            m = linear_first_between(masks, lo, hi)
+            if m is not None:
+                return {
+                    "a": _members(lo),
+                    "atom": p,
+                    "join": _members(hi),
+                    "between": _members(m),
+                }
+    return None
+
+
+def linear_dual_covering_violation(space):
+    """JSON witness of the first dual covering failure by linear scans, or
+    None."""
+    masks, full = space.masks, space.full_mask()
+    for a in masks:
+        for x in space.coatom_masks():
+            if linear_closure_mask(masks, full, a | x) != full:
+                continue
+            lo = a & x
+            m = linear_first_between(masks, lo, a)
+            if m is not None:
+                return {
+                    "a": _members(a),
+                    "coatom": _members(x),
+                    "meet": _members(lo),
+                    "between": _members(m),
+                }
+    return None

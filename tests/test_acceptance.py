@@ -79,10 +79,10 @@ def test_criterion_1_sep_has_ortho_top_star_do_not():
 
 
 def _sep_pair_relation():
-    from qll.harness import _pair_relation
+    from qll.harness import pair_relation
 
     rel = resolve_base("mo2").relation
-    return _pair_relation(4, 4, rel, rel)
+    return pair_relation(4, 4, rel, rel)
 
 
 def test_criterion_2_down_product_structure():

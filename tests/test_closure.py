@@ -135,6 +135,15 @@ def test_covering_property(mo2_space):
     assert has_covering_property(powerset_space(4))
 
 
+def test_covering_needs_intersection_closed_family():
+    # {0,1,2} ∩ {0,1,3} = {0,1} is missing, so the cover relation puts
+    # cl({0,1}) = {0,1} above {0}, yet no member sits strictly between {0}
+    # and {0,1,2}
+    sp = _space(4, [[], [0], [1], [2], [3], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3]])
+    with pytest.raises(ContractViolation):
+        find_covering_violation(sp)
+
+
 def test_dual_covering_and_dac(mo2_space):
     assert find_dual_covering_violation(mo2_space) is None
     assert is_dac(mo2_space)

@@ -1,0 +1,137 @@
+"""The closure kernel and the cover relation of ExplicitSpace against the
+linear family scans they replaced (tests/helpers.py), on the L0 and L1
+products and on two seeded atom relabellings of each."""
+
+from __future__ import annotations
+
+import random
+from functools import cache
+
+import pytest
+
+from helpers import (
+    linear_closure_mask,
+    linear_covering_violation,
+    linear_dual_covering_violation,
+    linear_upper_covers,
+)
+from qll.atomset import AtomSet
+from qll.closure import (
+    ExplicitSpace,
+    covers,
+    find_covering_violation,
+    find_dual_covering_violation,
+    upper_covers,
+)
+from qll.export import export_dot
+from qll.geometry import SubspaceModel
+from qll.harness import resolve_base
+from qll.ortho import find_orthocomplementations
+from qll.products import (
+    down_product,
+    materialize_top_product,
+    sep_product,
+    star_product,
+)
+
+GF5_FORM = ((1, 0), (0, 2))  # -1 is a square mod 5, so diag(1, 1) is isotropic
+
+BUILDERS = {
+    "sep(mo2,mo2)": lambda: sep_product(_base("mo2"), _base("mo2")),
+    "top(mo2,mo2)": lambda: materialize_top_product(_base("mo2"), _base("mo2")),
+    "star(mo2,mo2)": lambda: star_product(_base("mo2"), _base("mo2")),
+    "sep(mo2,mo3)": lambda: sep_product(_base("mo2"), _base("mo3")),
+    "top(mo2,mo3)": lambda: materialize_top_product(_base("mo2"), _base("mo3")),
+    "star(mo2,mo3)": lambda: star_product(_base("mo2"), _base("mo3")),
+    "down(gf3_2,gf3_2)": lambda: down_product(
+        resolve_base("gf3_2").model, resolve_base("gf3_2").model
+    ),
+    "down(gf5_2,gf5_2)": lambda: down_product(
+        SubspaceModel.create(5, 2, GF5_FORM), SubspaceModel.create(5, 2, GF5_FORM)
+    ),
+}
+SEEDS = (None, 1, 2)
+CASES = [(name, seed) for name in BUILDERS for seed in SEEDS]
+IDS = [f"{name}-{'id' if seed is None else f'seed{seed}'}" for name, seed in CASES]
+
+
+def _base(name):
+    return resolve_base(name).space
+
+
+@cache
+def _space(name, seed):
+    """The product's space, with its atoms permuted by a seeded shuffle."""
+    space = BUILDERS[name]().space
+    if seed is None:
+        return space
+    n = space.universe_size
+    image = list(range(n))
+    random.Random(seed).shuffle(image)
+    return ExplicitSpace(
+        AtomSet.from_members(n, (image[p] for p in s.members)) for s in space.family
+    )
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=IDS)
+def test_closure_mask_matches_linear_scan(name, seed):
+    sp = _space(name, seed)
+    masks, full, n = sp.masks, sp.full_mask(), sp.universe_size
+    probes = [m | 1 << p for m in masks for p in range(n)]
+    rng = random.Random(f"probe:{seed}")
+    probes += [rng.getrandbits(n) for _ in range(100)]
+    probes += [sum(1 << p for p in rng.sample(range(n), 2)) for _ in range(100)]
+    for m in probes:
+        assert sp.closure_mask(m) == linear_closure_mask(masks, full, m), m
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=IDS)
+def test_cover_relation_matches_linear_scan(name, seed):
+    sp = _space(name, seed)
+    for lo, a in zip(sp.masks, sp.family):
+        expected = linear_upper_covers(sp.masks, lo)
+        assert tuple(u.mask for u in upper_covers(sp, a)) == expected
+        assert tuple(hi for hi, b in zip(sp.masks, sp.family) if covers(sp, a, b)) == expected
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=IDS)
+def test_covering_witnesses_match_linear_scan(name, seed):
+    sp = _space(name, seed)
+    cov = find_covering_violation(sp)
+    assert (cov and cov.to_json()) == linear_covering_violation(sp)
+    dual = find_dual_covering_violation(sp)
+    assert (dual and dual.to_json()) == linear_dual_covering_violation(sp)
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=IDS)
+def test_dot_edges_match_linear_scan(name, seed):
+    sp = _space(name, seed)
+    index = {m: i for i, m in enumerate(sp.masks)}
+    expected = [
+        f"  n{index[lo]} -> n{index[hi]};"
+        for lo in sp.masks
+        for hi in linear_upper_covers(sp.masks, lo)
+    ]
+    assert [line for line in export_dot(sp).splitlines() if "->" in line] == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ortho_maps_match_linear_scan(seed, monkeypatch):
+    sp = _space("sep(mo2,mo3)", seed)
+    fast = find_orthocomplementations(sp)
+    assert len(fast.maps) == 45
+    # order reversal is not checked by verify_orthocomplementation; check it
+    # pairwise on every map found
+    pairs = [(a, b) for a in sp.masks for b in sp.masks if a != b and a & ~b == 0]
+    for om in fast.maps:
+        comp = {m: om.complement_mask(m) for m in sp.masks}
+        for a, b in pairs:
+            assert comp[b] & ~comp[a] == 0, (om.to_json(), a, b)
+    monkeypatch.setattr(
+        ExplicitSpace,
+        "closure_mask",
+        lambda self, m: linear_closure_mask(self.masks, self.full_mask(), m),
+    )
+    slow = find_orthocomplementations(sp)
+    assert [m.image_masks() for m in slow.maps] == [m.image_masks() for m in fast.maps]
+    assert slow.nodes == fast.nodes

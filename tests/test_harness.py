@@ -131,6 +131,10 @@ def test_budget_verdict():
     assert report.verdict == "inconclusive-budget"
     assert report.exit_code == 2
     assert report.certificates["budget"] == "node_cap"
+    # the check finished before the ortho search ran out stays in the report
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("sep_cross_relation_is_ortho", True)
+    ]
 
 
 def test_report_json_is_self_contained():
