@@ -13,12 +13,15 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Budgets:
-    # Largest explicit closed-set family we will materialize.
+    # Largest explicit closed-set family we will materialize; intersection
+    # closures check it after each generator.
     family_cap: int = 2**20
-    # Backtracking search nodes (orthocomplementation and automorphism search)
-    # and row-assignment enumerations.
+    # Backtracking search nodes (orthocomplementation and automorphism
+    # search, star generators, and the rows placed by the materialized top
+    # search) and the matrices scanned for a similitude group.
     node_cap: int = 10**8
-    # Subspace enumeration cap for finite-field models.
+    # Subspaces one enumeration may list: the subspaces of a factor model,
+    # and the hyperplanes of the tensor model behind down.
     subspace_cap: int = 10**6
     # Largest family rendered to DOT.
     dot_node_cap: int = 5000

@@ -268,15 +268,20 @@ class ExplicitSpace(ClosureSpace):
         return ups
 
     def coatom_masks(self) -> tuple[int, ...]:
-        """Maximal proper closed sets, cached."""
+        """Maximal proper closed sets in canonical order, cached.
+
+        Scans the family largest first.  Every proper closed set lies below
+        some coatom, which has more elements and so is already found when
+        the set is reached; a set below none of the coatoms found so far is
+        itself a coatom.
+        """
         if self._coatom_masks is None:
             full = self.full_mask()
-            proper = [m for m in self._masks if m != full]
-            out = []
-            for m in proper:
-                if not any(c != m and m & ~c == 0 for c in proper):
-                    out.append(m)
-            self._coatom_masks = tuple(out)
+            found: list[int] = []
+            for m in reversed(self._masks):
+                if m != full and not any(m & ~c == 0 for c in found):
+                    found.append(m)
+            self._coatom_masks = tuple(reversed(found))
         return self._coatom_masks
 
     def __eq__(self, other: object) -> bool:

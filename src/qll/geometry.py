@@ -188,6 +188,20 @@ def enumerate_subspaces(
     return out
 
 
+def hyperplanes(
+    model: SubspaceModel, budgets: Budgets = DEFAULT_BUDGETS
+) -> list[Subspace]:
+    """The (q^n - 1)/(q - 1) subspaces of dimension n - 1, canonical order.
+
+    Every subspace is an intersection of hyperplanes (the whole space being
+    the empty intersection).
+    """
+    q, n = model.q, model.n
+    if (q**n - 1) // (q - 1) > budgets.subspace_cap:
+        raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
+    return [Subspace(model, basis) for basis in rref_matrices(q, n, n - 1)]
+
+
 def build_projective_space(
     model: SubspaceModel,
     budgets: Budgets = DEFAULT_BUDGETS,

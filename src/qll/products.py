@@ -5,18 +5,22 @@ p1 * n2 + p2 (rows are contiguous bit slices of the mask, columns are
 strided).  Four constructions on that shared universe:
 
 * sep:  every intersection of crosses a1 x S2 ∪ S1 x a2 (closed a_i).
-  This is the smallest product family, built by seeding all crosses and
-  closing under pairwise intersection.
+  This is the smallest product family.
 * top:  all sets whose sections are closed in the matching factor (the
   largest family).  Kept implicit: membership checks sections, closure
   alternates row-wise and column-wise factor closures to a fixpoint.
-  Materialization enumerates row assignments over the second factor's
-  family and filters by column closure.
+  Materialization is a row-by-row search over the second factor's family
+  that prunes on the column prefixes placed so far.
 * down: images of tensor-model subspaces under sigma_down (the pairs whose
   product vector lies in the subspace), for factors given as finite-field
-  models.
+  models.  sigma_down preserves intersections and every subspace is an
+  intersection of hyperplanes, so the images of the hyperplanes generate
+  the family.
 * star: intersections of the generator sets whose rows are coatoms-or-full
   in the second factor and columns coatoms-or-full in the first.
+
+sep, star and down are the intersection closures of their generators,
+built one generator at a time by _close_under_intersections.
 
 All four contain the crosses and have closed sections, so sep <= X <= top
 as families; interval_check certifies those inclusions and exhibits
@@ -26,8 +30,7 @@ witnesses when they are strict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .atomset import AtomSet, bit_members, canonical_mask_key
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -96,19 +99,20 @@ class PairGrid:
             mask |= r << (i1 * self.n2)
         return mask
 
+    def from_col(self, section: int, i2: int) -> int:
+        """The pairs (i1, i2) with i1 in section, a first-factor mask."""
+        mask = 0
+        for i1 in bit_members(section):
+            mask |= 1 << (i1 * self.n2 + i2)
+        return mask
+
     def cross_mask(self, a1_mask: int, a2_mask: int) -> int:
         """a1 x S2 ∪ S1 x a2 as a pair mask."""
         mask = 0
-        m = a1_mask
-        while m:
-            low = m & -m
-            mask |= self._rows[low.bit_length() - 1]
-            m ^= low
-        m = a2_mask
-        while m:
-            low = m & -m
-            mask |= self._cols[low.bit_length() - 1]
-            m ^= low
+        for i1 in bit_members(a1_mask):
+            mask |= self._rows[i1]
+        for i2 in bit_members(a2_mask):
+            mask |= self._cols[i2]
         return mask
 
 
@@ -179,35 +183,37 @@ def _pair_labels(left: ClosureSpace, right: ClosureSpace) -> list[str]:
 
 
 def _close_under_intersections(
-    seeds: "set[int]", full: int, budgets: Budgets
+    gens: "Iterable[int]", full: int, budgets: Budgets
 ) -> list[int]:
-    """Smallest intersection-closed superset of seeds ∪ {full}."""
-    family = set(seeds)
-    family.add(full)
-    queue = list(family)
-    while queue:
-        m = queue.pop()
-        for other in list(family):
-            x = m & other
-            if x not in family:
-                if len(family) >= budgets.family_cap:
-                    raise BudgetExceeded("family_cap", budgets.family_cap)
-                family.add(x)
-                queue.append(x)
+    """Smallest intersection-closed family holding gens and full, in
+    canonical order.
+
+    Adds one generator at a time: if F is closed under intersection and
+    holds full, so is F ∪ {g ∧ m : m in F}, and it holds g.  That costs
+    O(|gens|·|F|) intersections, against O(|F|²) for closing pairwise.
+    family_cap is checked after each generator.
+    """
+    family = {full}
+    for g in gens:
+        if g not in family:
+            family |= {g & m for m in family}
+            if len(family) > budgets.family_cap:
+                raise BudgetExceeded("family_cap", budgets.family_cap)
     return sorted(family, key=canonical_mask_key)
 
 
 def sep_product(
     left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
-    """Smallest product: all intersections of crosses of closed factor sets."""
+    """Smallest product: the intersection closure of the crosses of closed
+    factor sets."""
     l = _require_explicit(left, "sep_product")
     r = _require_explicit(right, "sep_product")
     grid = PairGrid(l.universe_size, r.universe_size)
-    seeds = {
+    crosses = {
         grid.cross_mask(a1, a2) for a1 in l.masks for a2 in r.masks
     }
-    masks = _close_under_intersections(seeds, (1 << grid.size) - 1, budgets)
+    masks = _close_under_intersections(crosses, (1 << grid.size) - 1, budgets)
     space = ExplicitSpace(
         (AtomSet(grid.size, m) for m in masks),
         atom_labels=_pair_labels(l, r),
@@ -242,13 +248,7 @@ def top_product(left: ClosureSpace, right: ClosureSpace) -> ProductInstance:
             cur2 = grid.from_rows(nxt_rows)
             for i2 in range(n2):
                 col = left.closure_mask(grid.col_section(cur2, i2))
-                m = col
-                add = 0
-                while m:
-                    low = m & -m
-                    add |= 1 << ((low.bit_length() - 1) * n2 + i2)
-                    m ^= low
-                cur2 |= add
+                cur2 |= grid.from_col(col, i2)
             if cur2 == cur:
                 return cur
             cur = cur2
@@ -267,33 +267,54 @@ def top_product(left: ClosureSpace, right: ClosureSpace) -> ProductInstance:
 def materialize_top_product(
     left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
-    """Explicit top product via row-assignment enumeration.
+    """Explicit top product via a row-by-row backtracking search.
 
-    Each row ranges over the second factor's family; candidates are kept when
-    every column section is closed in the first factor.  Work is bounded by
-    |family2| ** n1 row assignments, checked against the node budget first.
+    Row i1 ranges over the second factor's family.  Once k rows are placed,
+    each column holds the first k bits of its section, and that prefix must
+    agree with some closed set of the first factor on those k atoms; a
+    branch stops at the first row that breaks this for some column.  After
+    the last row the prefixes are whole sections, so the leaves are exactly
+    the section-closed sets.  Every row placed (each node of the search
+    tree) counts against node_cap.
     """
     l = _require_explicit(left, "materialize_top_product")
     r = _require_explicit(right, "materialize_top_product")
-    n1 = l.universe_size
-    grid = PairGrid(n1, r.universe_size)
-    count = len(r.masks) ** n1
-    if count > budgets.node_cap:
-        raise BudgetExceeded(
-            "node_cap",
-            budgets.node_cap,
-            f"{len(r.masks)}^{n1} row assignments exceed the node budget",
-        )
-    keep = []
-    for rows in iproduct(r.masks, repeat=n1):
-        mask = grid.from_rows(rows)
-        if all(
-            l.contains_mask(grid.col_section(mask, i2))
-            for i2 in range(r.universe_size)
-        ):
+    n1, n2 = l.universe_size, r.universe_size
+    grid = PairGrid(n1, n2)
+    # prefixes[k]: the closed sets of the first factor cut to atoms 0..k-1
+    prefixes = [{c & ((1 << k) - 1) for c in l.masks} for k in range(n1 + 1)]
+    keep: list[int] = []
+    nodes = 0
+
+    def rec(k: int, mask: int, cols: tuple[int, ...]) -> None:
+        nonlocal nodes
+        if k == n1:
             keep.append(mask)
             if len(keep) > budgets.family_cap:
                 raise BudgetExceeded("family_cap", budgets.family_cap)
+            return
+        ok, bit = prefixes[k + 1], 1 << k
+        # columns whose prefix extends only with a 1 (need) or only with a 0
+        # (forbid) at row k; every valid prefix extends one way or the other
+        need = forbid = 0
+        for j, c in enumerate(cols):
+            if c not in ok:
+                need |= 1 << j
+            elif c | bit not in ok:
+                forbid |= 1 << j
+        for row in r.masks:
+            if row & forbid or need & ~row:
+                continue
+            nodes += 1
+            if nodes > budgets.node_cap:
+                raise BudgetExceeded("node_cap", budgets.node_cap)
+            rec(
+                k + 1,
+                mask | row << (k * n2),
+                tuple(c | bit if row >> j & 1 else c for j, c in enumerate(cols)),
+            )
+
+    rec(0, 0, (0,) * n2)
     space = ExplicitSpace(
         (AtomSet(grid.size, m) for m in keep),
         atom_labels=_pair_labels(l, r),
@@ -366,7 +387,8 @@ def star_generators(
 def star_product(
     left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
-    """Intersections of the star generators (plus the whole universe).
+    """The intersection closure of the star generators and the whole
+    universe.
 
     The factors must be coatomistic, otherwise the generators need not
     intersect down to the singletons and the result is not a closure space.
@@ -389,29 +411,31 @@ def star_product(
 def down_product(
     m1: "SubspaceModel", m2: "SubspaceModel", budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
-    """Distinct sigma_down images of all tensor-model subspaces.
+    """The sigma_down images of the tensor-model subspaces, generated by the
+    images of the hyperplanes.
 
+    sigma_down(S ∩ T) = sigma_down(S) ∩ sigma_down(T), and every subspace is
+    an intersection of hyperplanes, so the family is the intersection
+    closure of the hyperplane images; no other subspace is enumerated.
     Distinct subspaces can share an image (every entangled line maps to the
-    empty set, for one); collisions are deduplicated and counted in notes.
+    empty set, for one).  notes counts all subspaces of the tensor model,
+    the distinct images and the difference (the collisions).
     """
     from .geometry import (
         build_projective_space,
-        enumerate_subspaces,
+        hyperplanes,
         sigma_down,
         tensor_model,
     )
+    from .gf import count_subspaces
 
     left, _ = build_projective_space(m1, budgets)
     right, _ = build_projective_space(m2, budgets)
     grid = PairGrid(left.universe_size, right.universe_size)
     tm = tensor_model(m1, m2)
-    masks: set[int] = set()
-    total = 0
-    for s in enumerate_subspaces(tm, budgets):
-        total += 1
-        masks.add(sigma_down(s).mask)
-        if len(masks) > budgets.family_cap:
-            raise BudgetExceeded("family_cap", budgets.family_cap)
+    gens = [sigma_down(h).mask for h in hyperplanes(tm, budgets)]
+    masks = _close_under_intersections(gens, (1 << grid.size) - 1, budgets)
+    total = count_subspaces(tm.q, tm.n)
     space = ExplicitSpace(
         (AtomSet(grid.size, m) for m in masks),
         atom_labels=_pair_labels(left, right),
@@ -557,13 +581,8 @@ def check_p123(
                     )
         for i2 in range(grid.n2):
             for a1 in range(1 << grid.n1):
-                mask = 0
-                m = a1
-                while m:
-                    low = m & -m
-                    mask |= 1 << ((low.bit_length() - 1) * grid.n2 + i2)
-                    m ^= low
-                if space.contains_mask(mask) and not l.contains_mask(a1):
+                col = grid.from_col(a1, i2)
+                if space.contains_mask(col) and not l.contains_mask(a1):
                     p3_witnesses.append(
                         {"column": i2, "section": list(bit_members(a1))}
                     )

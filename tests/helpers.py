@@ -290,3 +290,74 @@ def linear_dual_covering_violation(space):
                     "between": _members(m),
                 }
     return None
+
+
+# ---------------------------------------------------------------------------
+# Slow constructors: the product builders that the generator-at-a-time
+# intersection closure, the pruned top search and the hyperplane generators
+# replaced.  They return mask tuples in canonical family order.
+
+
+def _canonical(masks):
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), _members(m))))
+
+
+def pairwise_close_under_intersections(seeds, full):
+    """Smallest intersection-closed superset of seeds and full, by
+    intersecting every new set with the whole family."""
+    family = set(seeds)
+    family.add(full)
+    queue = list(family)
+    while queue:
+        m = queue.pop()
+        for other in list(family):
+            x = m & other
+            if x not in family:
+                family.add(x)
+                queue.append(x)
+    return _canonical(family)
+
+
+def cross_masks(left, right):
+    """a1 x S2 ∪ S1 x a2 for every pair of closed factor sets, as pair masks."""
+    n1, n2 = left.universe_size, right.universe_size
+    rows = [((1 << n2) - 1) << (i1 * n2) for i1 in range(n1)]
+    cols = [sum(1 << (i1 * n2 + i2) for i1 in range(n1)) for i2 in range(n2)]
+    return {
+        sum(rows[i] for i in _members(a1)) | sum(cols[j] for j in _members(a2))
+        for a1 in left.masks
+        for a2 in right.masks
+    }
+
+
+def row_assignment_top_masks(left, right):
+    """Every assignment of second-factor closed sets to the n1 rows, kept when
+    every column section is closed in the first factor."""
+    n1, n2 = left.universe_size, right.universe_size
+    keep = []
+    for rows in product(right.masks, repeat=n1):
+        mask = 0
+        for i1, r in enumerate(rows):
+            mask |= r << (i1 * n2)
+        cols = [
+            sum((mask >> (i1 * n2 + i2) & 1) << i1 for i1 in range(n1))
+            for i2 in range(n2)
+        ]
+        if all(left.contains_mask(c) for c in cols):
+            keep.append(mask)
+    return _canonical(keep)
+
+
+def full_enumeration_down(m1, m2):
+    """sigma_down of every tensor-model subspace, deduplicated, with the
+    notes down_product reports."""
+    from qll.geometry import enumerate_subspaces, sigma_down, tensor_model
+
+    images = [sigma_down(s).mask for s in enumerate_subspaces(tensor_model(m1, m2))]
+    distinct = set(images)
+    notes = {
+        "subspaces": len(images),
+        "distinct_images": len(distinct),
+        "collisions": len(images) - len(distinct),
+    }
+    return _canonical(distinct), notes

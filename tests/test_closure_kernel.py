@@ -1,6 +1,7 @@
 """The closure kernel and the cover relation of ExplicitSpace against the
-linear family scans they replaced (tests/helpers.py), on the L0 and L1
-products and on two seeded atom relabellings of each."""
+linear family scans they replaced (tests/helpers.py), and its coatoms against
+the pairwise oracle, on the L0 and L1 products and on two seeded atom
+relabellings of each."""
 
 from __future__ import annotations
 
@@ -10,10 +11,12 @@ from functools import cache
 import pytest
 
 from helpers import (
+    family_as_sets,
     linear_closure_mask,
     linear_covering_violation,
     linear_dual_covering_violation,
     linear_upper_covers,
+    naive_coatoms,
 )
 from qll.atomset import AtomSet
 from qll.closure import (
@@ -92,6 +95,15 @@ def test_cover_relation_matches_linear_scan(name, seed):
         expected = linear_upper_covers(sp.masks, lo)
         assert tuple(u.mask for u in upper_covers(sp, a)) == expected
         assert tuple(hi for hi, b in zip(sp.masks, sp.family) if covers(sp, a, b)) == expected
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=IDS)
+def test_coatom_masks_match_naive_coatoms(name, seed):
+    sp = _space(name, seed)
+    got = sp.coatom_masks()
+    expected = naive_coatoms(family_as_sets(sp), range(sp.universe_size))
+    assert {frozenset(AtomSet(sp.universe_size, m).members) for m in got} == expected
+    assert list(got) == [m for m in sp.masks if m in set(got)]  # canonical order
 
 
 @pytest.mark.parametrize("name,seed", CASES, ids=IDS)

@@ -283,6 +283,26 @@ def test_down_needs_budget(gf3_2):
         )
 
 
+@pytest.mark.parametrize("cap", [6, 39])
+def test_down_hyperplanes_need_budget(gf3_2, cap):
+    # the factor planes have 6 subspaces each, GF(3)^4 has 40 hyperplanes
+    with pytest.raises(BudgetExceeded) as exc:
+        down_product(
+            gf3_2.model, gf3_2.model, DEFAULT_BUDGETS.with_overrides(subspace_cap=cap)
+        )
+    assert exc.value.budget_name == "subspace_cap"
+    assert exc.traceback[-1].name == "hyperplanes"
+
+
+def test_star_closure_budget(mo2):
+    with pytest.raises(BudgetExceeded) as exc:
+        star_product(
+            mo2.space, mo2.space, DEFAULT_BUDGETS.with_overrides(family_cap=50)
+        )
+    assert exc.value.budget_name == "family_cap"
+    assert exc.traceback[-1].name == "_close_under_intersections"
+
+
 def test_materialize_top_budget(mo2):
     with pytest.raises(BudgetExceeded):
         materialize_top_product(
