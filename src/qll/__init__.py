@@ -22,7 +22,6 @@ from .closure import (
     is_coatomistic,
     is_dac,
     join,
-    materialize,
     meet,
     powerset_space,
     space_from_json,

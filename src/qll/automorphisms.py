@@ -86,12 +86,34 @@ class AtomPermutation:
         return {"image": list(self.image)}
 
 
+def first_unpreserved(
+    image: Sequence[int], src: ExplicitSpace, dst: ExplicitSpace
+) -> int | None:
+    """The first mask of src, in canonical order, whose image under the atom
+    map image[i] is not in dst's family; None when the map sends all of src
+    into dst.
+
+    For a permutation and families of equal size, None means the map carries
+    src's family onto dst's.
+    """
+    dst_set = dst._mask_set
+    for m in src.masks:
+        out = 0
+        mm = m
+        while mm:
+            low = mm & -mm
+            out |= 1 << image[low.bit_length() - 1]
+            mm ^= low
+        if out not in dst_set:
+            return m
+    return None
+
+
 def is_automorphism(space: ClosureSpace, perm: AtomPermutation) -> bool:
     sp = _require_explicit(space, "is_automorphism")
     if perm.universe_size != sp.universe_size:
         raise InputError("permutation universe does not match space")
-    mask_set = sp._mask_set
-    return all(perm.apply_mask(m) in mask_set for m in sp.masks)
+    return first_unpreserved(perm.image, sp, sp) is None
 
 
 def automorphism_group(
@@ -101,7 +123,6 @@ def automorphism_group(
     sp = _require_explicit(space, "automorphism_group")
     n = sp.universe_size
     masks = sp.masks
-    mask_set = sp._mask_set
 
     sizes = {m: m.bit_count() for m in masks}
     atom_profile: list[tuple[int, ...]] = []
@@ -128,9 +149,8 @@ def automorphism_group(
     def assign(p: int) -> None:
         nonlocal used, nodes
         if p == n:
-            perm = AtomPermutation(tuple(image))
-            if all(perm.apply_mask(m) in mask_set for m in masks):
-                found.append(perm)
+            if first_unpreserved(image, sp, sp) is None:
+                found.append(AtomPermutation(tuple(image)))
             return
         for cand in range(n):
             if used >> cand & 1:
@@ -219,23 +239,24 @@ class Decomposition:
         }
 
 
-def _maps_family_onto(
-    perm_image: Sequence[int], src: ExplicitSpace, dst: ExplicitSpace
-) -> bool:
-    """Does relabeling src's family by perm_image give exactly dst's family?"""
-    if src.universe_size != dst.universe_size:
-        return False
-    dst_set = dst._mask_set
-    for m in src.masks:
-        out = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            out |= 1 << perm_image[low.bit_length() - 1]
-            mm ^= low
-        if out not in dst_set:
-            return False
-    return True
+# DecompositionFailed messages per orientation (swap flag): a row image, a
+# column image, the first and the second component, the pointwise action.
+_DECOMPOSITION_MESSAGES = {
+    False: (
+        "row image is neither a row nor a column",
+        "column image is not a column under a row-preserving map",
+        "first component is not a factor automorphism",
+        "second component is not a factor automorphism",
+        "pointwise action disagrees with factor pair",
+    ),
+    True: (
+        "row image is not a column under a swapping map",
+        "column image is not a row under a swapping map",
+        "swap component does not map the first factor onto the second",
+        "swap component does not map the second factor onto the first",
+        "pointwise action disagrees with swapped factor pair",
+    ),
+}
 
 
 def decompose_automorphism(
@@ -243,9 +264,11 @@ def decompose_automorphism(
 ) -> Decomposition:
     """Split an automorphism of a product space into factor isomorphisms.
 
-    Raises DecompositionFailed (with a witness) if u does not send rows to
-    rows or rows to columns coherently; for the products built here that
-    would falsify the decomposition theorem on the instance.
+    Where the first row goes sets the orientation: onto a row means rows go
+    to rows and columns to columns, onto a column means the map swaps them.
+    Raises DecompositionFailed (with a witness) if u does not send rows and
+    columns coherently; for the products built here that would falsify the
+    decomposition theorem on the instance.
     """
     space = _require_explicit(instance.space, "decompose_automorphism")
     if not is_automorphism(space, u):
@@ -258,81 +281,45 @@ def decompose_automorphism(
     row_index = {grid.row_full_mask(i): i for i in range(n1)}
     col_index = {grid.col_full_mask(j): j for j in range(n2)}
     img0 = u.apply_mask(grid.row_full_mask(0))
-
     if img0 in row_index:
-        v1_img, v2_img = [], []
-        for i in range(n1):
-            m = u.apply_mask(grid.row_full_mask(i))
-            if m not in row_index:
-                raise DecompositionFailed(
-                    "row image is neither a row nor a column",
-                    {"row": i, "image": list(bit_members(m))},
-                )
-            v1_img.append(row_index[m])
-        for j in range(n2):
-            m = u.apply_mask(grid.col_full_mask(j))
-            if m not in col_index:
-                raise DecompositionFailed(
-                    "column image is not a column under a row-preserving map",
-                    {"column": j, "image": list(bit_members(m))},
-                )
-            v2_img.append(col_index[m])
-        v1 = AtomPermutation(tuple(v1_img))
-        v2 = AtomPermutation(tuple(v2_img))
-        if not _maps_family_onto(v1.image, left, left):
-            raise DecompositionFailed("first component is not a factor automorphism")
-        if not _maps_family_onto(v2.image, right, right):
-            raise DecompositionFailed("second component is not a factor automorphism")
-        for i in range(n1):
-            for j in range(n2):
-                if u.image[grid.index(i, j)] != grid.index(v1_img[i], v2_img[j]):
-                    raise DecompositionFailed(
-                        "pointwise action disagrees with factor pair",
-                        {"pair": [i, j]},
-                    )
-        return Decomposition(False, v1, v2)
-
-    if img0 in col_index:
-        v1_img, v2_img = [], []
-        for i in range(n1):
-            m = u.apply_mask(grid.row_full_mask(i))
-            if m not in col_index:
-                raise DecompositionFailed(
-                    "row image is not a column under a swapping map",
-                    {"row": i, "image": list(bit_members(m))},
-                )
-            v1_img.append(col_index[m])
-        for j in range(n2):
-            m = u.apply_mask(grid.col_full_mask(j))
-            if m not in row_index:
-                raise DecompositionFailed(
-                    "column image is not a row under a swapping map",
-                    {"column": j, "image": list(bit_members(m))},
-                )
-            v2_img.append(row_index[m])
-        v1 = AtomPermutation(tuple(v1_img))  # first factor -> second factor
-        v2 = AtomPermutation(tuple(v2_img))  # second factor -> first factor
-        if not _maps_family_onto(v1.image, left, right):
-            raise DecompositionFailed(
-                "swap component does not map the first factor onto the second"
-            )
-        if not _maps_family_onto(v2.image, right, left):
-            raise DecompositionFailed(
-                "swap component does not map the second factor onto the first"
-            )
-        for i in range(n1):
-            for j in range(n2):
-                if u.image[grid.index(i, j)] != grid.index(v2_img[j], v1_img[i]):
-                    raise DecompositionFailed(
-                        "pointwise action disagrees with swapped factor pair",
-                        {"pair": [i, j]},
-                    )
-        return Decomposition(True, v1, v2)
-
-    raise DecompositionFailed(
-        "image of first row is neither a row nor a column",
-        {"image": list(bit_members(img0))},
+        swap = False
+    elif img0 in col_index:
+        swap = True
+    else:
+        raise DecompositionFailed(
+            "image of first row is neither a row nor a column",
+            {"image": list(bit_members(img0))},
+        )
+    row_msg, col_msg, first_msg, second_msg, pointwise_msg = (
+        _DECOMPOSITION_MESSAGES[swap]
     )
+    # where rows and columns must land, and which factor each component
+    # must map onto
+    row_to, col_to = (col_index, row_index) if swap else (row_index, col_index)
+    first_dst, second_dst = (right, left) if swap else (left, right)
+
+    def component(line_mask, count: int, to: dict, key: str, msg: str):
+        out = []
+        for k in range(count):
+            m = u.apply_mask(line_mask(k))
+            if m not in to:
+                raise DecompositionFailed(
+                    msg, {key: k, "image": list(bit_members(m))}
+                )
+            out.append(to[m])
+        return AtomPermutation(tuple(out))
+
+    v1 = component(grid.row_full_mask, n1, row_to, "row", row_msg)
+    v2 = component(grid.col_full_mask, n2, col_to, "column", col_msg)
+    if first_unpreserved(v1.image, left, first_dst) is not None:
+        raise DecompositionFailed(first_msg)
+    if first_unpreserved(v2.image, right, second_dst) is not None:
+        raise DecompositionFailed(second_msg)
+    image = grid.pair_image(v1, v2, swap)
+    if image != u.image:
+        k = next(k for k, (a, b) in enumerate(zip(image, u.image)) if a != b)
+        raise DecompositionFailed(pointwise_msg, {"pair": list(grid.unindex(k))})
+    return Decomposition(swap, v1, v2)
 
 
 def induced_product_automorphism(
@@ -345,40 +332,20 @@ def induced_product_automorphism(
     (p1,p2) -> (v2 p2, v1 p1).  Verified against the product family; failure
     raises InducedMapNotAutomorphism with the offending closed set (a P4
     failure witness)."""
-    grid = instance.grid
-    n1, n2 = grid.n1, grid.n2
-    if swap:
-        if n1 != n2:
-            raise InputError("swap decomposition needs factors of equal atom count")
-        if v1.universe_size != n1 or v2.universe_size != n2:
-            raise InputError("component sizes do not match the factors")
-        image = tuple(
-            grid.index(v2.image[j], v1.image[i])
-            for i in range(n1)
-            for j in range(n2)
-        )
-    else:
-        if v1.universe_size != n1 or v2.universe_size != n2:
-            raise InputError("component sizes do not match the factors")
-        image = tuple(
-            grid.index(v1.image[i], v2.image[j])
-            for i in range(n1)
-            for j in range(n2)
-        )
-    perm = AtomPermutation(image)
+    image = instance.grid.pair_image(v1, v2, swap)
     space = _require_explicit(instance.space, "induced_product_automorphism")
-    for m in space.masks:
-        if perm.apply_mask(m) not in space._mask_set:
-            raise InducedMapNotAutomorphism(
-                "induced pair map does not preserve the product family",
-                {
-                    "v1": list(v1.image),
-                    "v2": list(v2.image),
-                    "swap": swap,
-                    "unpreserved": list(bit_members(m)),
-                },
-            )
-    return perm
+    bad = first_unpreserved(image, space, space)
+    if bad is not None:
+        raise InducedMapNotAutomorphism(
+            "induced pair map does not preserve the product family",
+            {
+                "v1": list(v1.image),
+                "v2": list(v2.image),
+                "swap": swap,
+                "unpreserved": list(bit_members(bad)),
+            },
+        )
+    return AtomPermutation(image)
 
 
 def dual_automorphism(

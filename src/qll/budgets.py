@@ -21,13 +21,10 @@ class Budgets:
     # search) and the matrices scanned for a similitude group.
     node_cap: int = 10**8
     # Subspaces one enumeration may list: the subspaces of a factor model,
-    # and the hyperplanes of the tensor model behind down.
+    # and the hyperplane normals of the tensor model behind down.
     subspace_cap: int = 10**6
     # Largest family rendered to DOT.
     dot_node_cap: int = 5000
-    # P3 subset scans on implicit backends enumerate 2^{factor universe}
-    # candidate sections; refuse above this universe size.
-    p3_universe_cap: int = 14
 
     def with_overrides(self, **kwargs: int) -> "Budgets":
         return replace(self, **kwargs)

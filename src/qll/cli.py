@@ -165,7 +165,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if inst.product is None:
             print("p123 applies to product instances", file=sys.stderr)
             return EXIT_USAGE
-        report = check_p123(inst.product, budgets)
+        report = check_p123(inst.product)
         _emit(args, {"instance": inst.name, "property": prop, **report.to_json()})
         return EXIT_OK if report.passed else EXIT_FALSIFIED
 

@@ -10,15 +10,14 @@ Two backends share one interface:
 
 * ExplicitSpace holds the sorted family (canonical order: cardinality, then
   lexicographic member list) and supports every operation.
-* ImplicitSpace holds a membership predicate and a closure procedure; family
-  enumeration raises UnsupportedRepresentation unless an enumerator was
-  attached.
+* ImplicitSpace holds a membership predicate and a closure procedure; it
+  has no family, and asking for one raises UnsupportedRepresentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .atomset import AtomSet, bit_members, canonical_mask_key
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -299,18 +298,13 @@ class ExplicitSpace(ClosureSpace):
 
 
 class ImplicitSpace(ClosureSpace):
-    """Closure space given by a membership predicate and closure procedure.
-
-    enumerator, when provided, yields every closed mask exactly once (used to
-    materialize the space under a budget).
-    """
+    """Closure space given by a membership predicate and closure procedure."""
 
     def __init__(
         self,
         universe_size: int,
         membership: Callable[[int], bool],
         closure: Callable[[int], int],
-        enumerator: Callable[[], Iterator[int]] | None = None,
         atom_labels: Iterable[str] | None = None,
         description: str = "",
     ):
@@ -318,7 +312,6 @@ class ImplicitSpace(ClosureSpace):
         self.atom_labels = tuple(atom_labels) if atom_labels is not None else None
         self._membership = membership
         self._closure = closure
-        self._enumerator = enumerator
         self.description = description
 
     @property
@@ -328,7 +321,7 @@ class ImplicitSpace(ClosureSpace):
     @property
     def family(self) -> tuple[AtomSet, ...]:
         raise UnsupportedRepresentation(
-            "implicit space has no materialized family; materialize it first"
+            "implicit space has no materialized family"
         )
 
     def contains_mask(self, mask: int) -> bool:
@@ -337,31 +330,9 @@ class ImplicitSpace(ClosureSpace):
     def closure_mask(self, mask: int) -> int:
         return self._closure(mask)
 
-    def enumerate_masks(self) -> Iterator[int]:
-        if self._enumerator is None:
-            raise UnsupportedRepresentation("no enumerator attached to this space")
-        return self._enumerator()
-
     def __repr__(self) -> str:
         tag = f" {self.description}" if self.description else ""
         return f"ImplicitSpace(n={self.universe_size}{tag})"
-
-
-def materialize(space: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS) -> ExplicitSpace:
-    """Explicit copy of a space (identity on explicit input)."""
-    if isinstance(space, ExplicitSpace):
-        return space
-    if not isinstance(space, ImplicitSpace):
-        raise UnsupportedRepresentation(f"cannot materialize {type(space).__name__}")
-    n = space.universe_size
-    out: set[int] = set()
-    for m in space.enumerate_masks():
-        out.add(m)
-        if len(out) > budgets.family_cap:
-            raise BudgetExceeded("family_cap", budgets.family_cap)
-    return ExplicitSpace(
-        (AtomSet(n, m) for m in out), atom_labels=space.atom_labels, budgets=budgets
-    )
 
 
 def powerset_space(universe_size: int, atom_labels: Iterable[str] | None = None) -> ExplicitSpace:

@@ -50,6 +50,7 @@ from .gf import (
     transpose,
 )
 from .automorphisms import AtomPermutation
+from .products import PairGrid
 
 
 @dataclass(frozen=True)
@@ -186,20 +187,6 @@ def enumerate_subspaces(
         for basis in rref_matrices(model.q, model.n, dim):
             out.append(Subspace(model, basis))
     return out
-
-
-def hyperplanes(
-    model: SubspaceModel, budgets: Budgets = DEFAULT_BUDGETS
-) -> list[Subspace]:
-    """The (q^n - 1)/(q - 1) subspaces of dimension n - 1, canonical order.
-
-    Every subspace is an intersection of hyperplanes (the whole space being
-    the empty intersection).
-    """
-    q, n = model.q, model.n
-    if (q**n - 1) // (q - 1) > budgets.subspace_cap:
-        raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
-    return [Subspace(model, basis) for basis in rref_matrices(q, n, n - 1)]
 
 
 def build_projective_space(
@@ -372,16 +359,8 @@ def tensor_similitudes(
     g2 ranging over the factor similitude groups."""
     g1s = similitude_group(m1, budgets)
     g2s = similitude_group(m2, budgets)
-    n1, n2 = m1.atom_count, m2.atom_count
-    perms = set()
-    for g1 in g1s:
-        for g2 in g2s:
-            image = tuple(
-                g1.image[i1] * n2 + g2.image[i2]
-                for i1 in range(n1)
-                for i2 in range(n2)
-            )
-            perms.add(image)
+    grid = PairGrid(m1.atom_count, m2.atom_count)
+    perms = {grid.pair_image(g1, g2) for g1 in g1s for g2 in g2s}
     return [AtomPermutation(img) for img in sorted(perms)]
 
 

@@ -19,7 +19,6 @@ from .automorphisms import (
     AtomPermutation,
     automorphism_group,
     decompose_automorphism,
-    induced_product_automorphism,
 )
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
@@ -29,7 +28,6 @@ from .closure import (
     find_dual_covering_violation,
     is_atomistic,
     is_coatomistic,
-    is_dac,
     powerset_space,
     space_to_json,
 )
@@ -186,14 +184,11 @@ def build_product(
     left: NamedInstance,
     right: NamedInstance,
     budgets: Budgets = DEFAULT_BUDGETS,
-    materialize: bool = True,
 ) -> ProductInstance:
     if kind == "sep":
         return sep_product(left.space, right.space, budgets)
     if kind == "top":
-        if materialize:
-            return materialize_top_product(left.space, right.space, budgets)
-        return top_product(left.space, right.space)
+        return materialize_top_product(left.space, right.space, budgets)
     if kind == "star":
         return star_product(left.space, right.space, budgets)
     if kind == "down":
@@ -206,9 +201,7 @@ def build_product(
     raise InputError(f"unknown product kind {kind!r}")
 
 
-def resolve_instance(
-    name: str, budgets: Budgets = DEFAULT_BUDGETS, materialize: bool = True
-) -> ResolvedInstance:
+def resolve_instance(name: str, budgets: Budgets = DEFAULT_BUDGETS) -> ResolvedInstance:
     """Resolve a base name or a product expression like sep(mo2,mo2)."""
     m = _PRODUCT_RE.match(name.strip())
     if m is None:
@@ -219,7 +212,7 @@ def resolve_instance(
     kind, lname, rname = m.groups()
     left = resolve_base(lname, budgets)
     right = resolve_base(rname, budgets)
-    inst = build_product(kind, left, right, budgets, materialize=materialize)
+    inst = build_product(kind, left, right, budgets)
     return ResolvedInstance(
         f"{kind}({left.name},{right.name})",
         inst.space,
@@ -373,7 +366,7 @@ def _pipeline_only_bottom_has_ortho(
     certs["sep_search"] = _search_summary(search)
 
     top = materialize_top_product(left.space, right.space, budgets)
-    top_search = find_orthocomplementations(top.space, budgets=budgets, force_search=True)
+    top_search = find_orthocomplementations(top.space, budgets=budgets)
     checks.append(
         _check(
             "top_admits_none",
@@ -384,9 +377,7 @@ def _pipeline_only_bottom_has_ortho(
     certs["top_search"] = _search_summary(top_search)
 
     star = star_product(left.space, right.space, budgets)
-    star_search = find_orthocomplementations(
-        star.space, budgets=budgets, force_search=True
-    )
+    star_search = find_orthocomplementations(star.space, budgets=budgets)
     checks.append(
         _check(
             "star_admits_none",
@@ -403,9 +394,7 @@ def _pipeline_only_bottom_has_ortho(
 
     if left.model is not None and right.model is not None:
         down = down_product(left.model, right.model, budgets)
-        down_search = find_orthocomplementations(
-            down.space, budgets=budgets, force_search=True
-        )
+        down_search = find_orthocomplementations(down.space, budgets=budgets)
         checks.append(
             _check(
                 "down_admits_none",
@@ -580,10 +569,10 @@ def _pipeline_automorphisms_decompose(
                 failure = {"permutation": list(u.image), "witness": exc.witness}
                 break
             triples.add(dec.triple())
-            back = induced_product_automorphism(inst, dec.v1, dec.v2, swap=dec.swap)
-            if back.image != u.image:
+            back = inst.grid.pair_image(dec.v1, dec.v2, dec.swap)
+            if back != u.image:
                 roundtrip_ok = False
-                failure = {"permutation": list(u.image), "roundtrip": list(back.image)}
+                failure = {"permutation": list(u.image), "roundtrip": list(back)}
                 break
 
         checks.append(
@@ -630,7 +619,7 @@ def _pipeline_down_properties(
     down = down_product(left.model, right.model, budgets)
     certs["notes"] = dict(down.notes)
 
-    axioms = check_p123(down, budgets)
+    axioms = check_p123(down)
     for axiom in ("P1", "P2", "P3"):
         c = axioms.check(axiom)
         checks.append(
@@ -672,8 +661,10 @@ def _pipeline_down_properties(
         )
     )
 
-    checks.append(_check("atomistic", is_atomistic(down.space)))
-    checks.append(_check("coatomistic", is_coatomistic(down.space)))
+    atomistic = is_atomistic(down.space)
+    coatomistic = is_coatomistic(down.space)
+    checks.append(_check("atomistic", atomistic))
+    checks.append(_check("coatomistic", coatomistic))
     cov = find_covering_violation(down.space)
     checks.append(
         _check(
@@ -688,7 +679,9 @@ def _pipeline_down_properties(
             witness=None if dual is None else dual.to_json(),
         )
     )
-    checks.append(_check("not_dac", not is_dac(down.space)))
+    # is_dac from the four results above, not computed again
+    dac = atomistic and coatomistic and cov is None and dual is None
+    checks.append(_check("not_dac", not dac))
     if dual is not None:
         certs["dual_covering_witness"] = dual.to_json()
 
@@ -727,7 +720,7 @@ def _pipeline_down_properties(
         )
     )
 
-    search = find_orthocomplementations(down.space, budgets=budgets, force_search=True)
+    search = find_orthocomplementations(down.space, budgets=budgets)
     checks.append(
         _check(
             "no_orthocomplementation",

@@ -220,22 +220,18 @@ def find_orthocomplementations(
     space: ClosureSpace,
     limit: int | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
-    force_search: bool = False,
 ) -> OrthoSearchResult:
     """Enumerate every orthocomplementation of an explicit space.
 
     Returns all verified maps in a deterministic order.  An empty result with
     exhaustive=True is a proof there are none (via the counting certificate
-    or via completed search).  force_search runs the backtracking even when
-    the counting certificate already settles the answer, so the two proofs
-    can be cross-checked; the certificate is attached either way.  Hitting
-    the node budget raises BudgetExceeded.
+    or via completed search).  Hitting the node budget raises
+    BudgetExceeded.
     """
     sp = _require_explicit(space, "find_orthocomplementations")
     n = sp.universe_size
     cms = list(sp.coatom_masks())
     k = len(cms)
-    certificate = None
     if n != k:
         certificate = {
             "kind": "atom_coatom_count_mismatch",
@@ -243,8 +239,7 @@ def find_orthocomplementations(
             "coatoms": k,
             "reason": "an orthocomplementation maps atoms bijectively onto coatoms",
         }
-        if not force_search:
-            return OrthoSearchResult((), exhaustive=True, nodes=0, certificate=certificate)
+        return OrthoSearchResult((), exhaustive=True, nodes=0, certificate=certificate)
 
     # contains[p]: bitmask over coatom indices of the coatoms containing atom p
     contains = [0] * n
@@ -311,10 +306,7 @@ def find_orthocomplementations(
     completed = assign(0, initial)
     found.sort(key=lambda om: om.image_masks())
     return OrthoSearchResult(
-        tuple(found),
-        exhaustive=completed and not truncated,
-        nodes=nodes,
-        certificate=certificate,
+        tuple(found), exhaustive=completed and not truncated, nodes=nodes
     )
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .atomset import AtomSet, bit_members, canonical_mask_key
+from .automorphisms import first_unpreserved
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
     ClosureSpace,
@@ -105,6 +106,22 @@ class PairGrid:
         for i1 in bit_members(section):
             mask |= 1 << (i1 * self.n2 + i2)
         return mask
+
+    def pair_image(
+        self, v1: "AtomPermutation", v2: "AtomPermutation", swap: bool = False
+    ) -> tuple[int, ...]:
+        """Image tuple of the pair map (p1, p2) -> (v1 p1, v2 p2), or with
+        swap of (p1, p2) -> (v2 p2, v1 p1); v1 then maps the first factor's
+        atoms to the second's and v2 the other way."""
+        n1, n2 = self.n1, self.n2
+        if swap and n1 != n2:
+            raise InputError("swap decomposition needs factors of equal atom count")
+        if v1.universe_size != n1 or v2.universe_size != n2:
+            raise InputError("component sizes do not match the factors")
+        a, b = v1.image, v2.image
+        if swap:
+            return tuple(b[j] * n2 + a[i] for i in range(n1) for j in range(n2))
+        return tuple(a[i] * n2 + b[j] for i in range(n1) for j in range(n2))
 
     def cross_mask(self, a1_mask: int, a2_mask: int) -> int:
         """a1 x S2 ∪ S1 x a2 as a pair mask."""
@@ -416,26 +433,35 @@ def down_product(
 
     sigma_down(S ∩ T) = sigma_down(S) ∩ sigma_down(T), and every subspace is
     an intersection of hyperplanes, so the family is the intersection
-    closure of the hyperplane images; no other subspace is enumerated.
+    closure of the hyperplane images; no other subspace is enumerated.  The
+    hyperplanes are the kernels w·x = 0 of the (q^N - 1)/(q - 1) projective
+    points w, so the image of one is the set of pairs whose product vector
+    x has w·x = 0.
+
     Distinct subspaces can share an image (every entangled line maps to the
     empty set, for one).  notes counts all subspaces of the tensor model,
     the distinct images and the difference (the collisions).
     """
-    from .geometry import (
-        build_projective_space,
-        hyperplanes,
-        sigma_down,
-        tensor_model,
-    )
-    from .gf import count_subspaces
+    from .geometry import build_projective_space, tensor_model
+    from .gf import count_subspaces, dot, kron_vec, projective_points
 
     left, _ = build_projective_space(m1, budgets)
     right, _ = build_projective_space(m2, budgets)
     grid = PairGrid(left.universe_size, right.universe_size)
     tm = tensor_model(m1, m2)
-    gens = [sigma_down(h).mask for h in hyperplanes(tm, budgets)]
+    q, n = tm.q, tm.n
+    if (q**n - 1) // (q - 1) > budgets.subspace_cap:
+        raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
+    # product vectors in pair order i1 * n2 + i2
+    pair_vectors = [
+        kron_vec(v1, v2, q) for v1 in m1.atom_table for v2 in m2.atom_table
+    ]
+    gens = [
+        sum(1 << k for k, x in enumerate(pair_vectors) if dot(w, x, q) == 0)
+        for w in projective_points(q, n)
+    ]
     masks = _close_under_intersections(gens, (1 << grid.size) - 1, budgets)
-    total = count_subspaces(tm.q, tm.n)
+    total = count_subspaces(q, n)
     space = ExplicitSpace(
         (AtomSet(grid.size, m) for m in masks),
         atom_labels=_pair_labels(left, right),
@@ -492,19 +518,17 @@ class AxiomReport:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
-def check_p123(
-    instance: ProductInstance, budgets: Budgets = DEFAULT_BUDGETS
-) -> AxiomReport:
-    """The three structural product axioms.
+def check_p123(instance: ProductInstance) -> AxiomReport:
+    """The three structural product axioms, on an explicit instance.
 
     P1: the universe is the full pair grid (true by construction; checked
         anyway so imported instances are covered).
     P2: every cross of closed factor sets is closed in the product.
     P3: a closed set lying inside one row (column) has its section closed in
-        the matching factor.  Explicit backends scan the family; implicit
-        backends scan all candidate sections, which needs small factors.
+        the matching factor.
     """
-    left, right, space = instance.left, instance.right, instance.space
+    left, right = instance.left, instance.right
+    space = _require_explicit(instance.space, "check_p123")
     grid = instance.grid
     checks = []
 
@@ -545,47 +569,26 @@ def check_p123(
     checks.append(AxiomCheck("P2", not p2_witnesses, tuple(p2_witnesses)))
 
     p3_witnesses = []
-    if space.is_explicit:
-        for s in space.family:
-            m = s.mask
-            if m == 0:
-                continue
-            first_coords = {grid.unindex(k)[0] for k in bit_members(m)}
-            if len(first_coords) == 1:
-                (i1,) = first_coords
-                sec = grid.row_section(m, i1)
-                if not r.contains_mask(sec):
-                    p3_witnesses.append(
-                        {"set": list(s.members), "row": i1, "section": list(bit_members(sec))}
-                    )
-            second_coords = {grid.unindex(k)[1] for k in bit_members(m)}
-            if len(second_coords) == 1:
-                (i2,) = second_coords
-                sec = grid.col_section(m, i2)
-                if not l.contains_mask(sec):
-                    p3_witnesses.append(
-                        {"set": list(s.members), "column": i2, "section": list(bit_members(sec))}
-                    )
-    else:
-        if grid.n1 > budgets.p3_universe_cap or grid.n2 > budgets.p3_universe_cap:
-            raise BudgetExceeded(
-                "node_cap",
-                budgets.node_cap,
-                "P3 subset scan on an implicit backend needs small factors",
-            )
-        for i1 in range(grid.n1):
-            for a2 in range(1 << grid.n2):
-                if space.contains_mask(a2 << (i1 * grid.n2)) and not r.contains_mask(a2):
-                    p3_witnesses.append(
-                        {"row": i1, "section": list(bit_members(a2))}
-                    )
-        for i2 in range(grid.n2):
-            for a1 in range(1 << grid.n1):
-                col = grid.from_col(a1, i2)
-                if space.contains_mask(col) and not l.contains_mask(a1):
-                    p3_witnesses.append(
-                        {"column": i2, "section": list(bit_members(a1))}
-                    )
+    for s in space.family:
+        m = s.mask
+        if m == 0:
+            continue
+        first_coords = {grid.unindex(k)[0] for k in bit_members(m)}
+        if len(first_coords) == 1:
+            (i1,) = first_coords
+            sec = grid.row_section(m, i1)
+            if not r.contains_mask(sec):
+                p3_witnesses.append(
+                    {"set": list(s.members), "row": i1, "section": list(bit_members(sec))}
+                )
+        second_coords = {grid.unindex(k)[1] for k in bit_members(m)}
+        if len(second_coords) == 1:
+            (i2,) = second_coords
+            sec = grid.col_section(m, i2)
+            if not l.contains_mask(sec):
+                p3_witnesses.append(
+                    {"set": list(s.members), "column": i2, "section": list(bit_members(sec))}
+                )
     checks.append(AxiomCheck("P3", not p3_witnesses, tuple(p3_witnesses[:3])))
     return AxiomReport(tuple(checks))
 
@@ -598,29 +601,11 @@ def check_p4(
     """Every pair (v1, v2) of designated factor symmetries must induce a
     product automorphism.  Reports the failing pairs (up to three witnesses)."""
     space = _require_explicit(instance.space, "check_p4")
-    grid = instance.grid
-    mask_set = space._mask_set
     witnesses = []
     failing = 0
     for v1 in left_symmetries:
         for v2 in right_symmetries:
-            image = [0] * grid.size
-            for i1 in range(grid.n1):
-                base = grid.n2 * v1.image[i1]
-                src = grid.n2 * i1
-                for i2 in range(grid.n2):
-                    image[src + i2] = base + v2.image[i2]
-            bad = None
-            for m in space.masks:
-                out = 0
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    out |= 1 << image[low.bit_length() - 1]
-                    mm ^= low
-                if out not in mask_set:
-                    bad = m
-                    break
+            bad = first_unpreserved(instance.grid.pair_image(v1, v2), space, space)
             if bad is not None:
                 failing += 1
                 if len(witnesses) < 3:

@@ -128,12 +128,11 @@ def naive_atom_check(family, universe):
 def naive_orthocomplementations(family, universe):
     """Brute force over all injective atom-to-coatom assignments, checking
     the four laws on the induced map directly.  Exponential; tiny inputs only.
+    No counting shortcut: unequal atom and coatom counts are left to the laws.
     """
     universe = frozenset(universe)
     atoms = sorted(universe)
     coatoms = sorted(naive_coatoms(family, universe), key=sorted)
-    if len(coatoms) != len(atoms):
-        return []
 
     def comp(member, image):
         out = universe
@@ -142,7 +141,7 @@ def naive_orthocomplementations(family, universe):
         return out
 
     found = []
-    for perm in permutations(range(len(coatoms))):
+    for perm in permutations(range(len(coatoms)), len(atoms)):
         image = {atoms[i]: coatoms[perm[i]] for i in range(len(atoms))}
         ok = True
         for member in family:

@@ -134,14 +134,35 @@ def test_decomposition_failure_carries_witness(boolean2):
     sep = sep_product(b, b)  # the full powerset on 4 atoms
     group = automorphism_group(sep.space)
     assert len(group) == 24  # all of S4: more than 2*2*2 = 8 decomposables
-    failures = 0
+    failures = {}
     for u in group:
         try:
             decompose_automorphism(sep, u)
         except DecompositionFailed as exc:
-            failures += 1
-            assert exc.witness
-    assert failures == 24 - 8
+            failures[u.image] = (str(exc), exc.witness)
+    # the 24 - 8 failures, each with the first incoherent line image
+    first_row = "image of first row is neither a row nor a column"
+    kept = "column image is not a column under a row-preserving map"
+    swapped = "column image is not a row under a swapping map"
+    a, b = [0, 3], [1, 2]
+    assert failures == {
+        (0, 1, 3, 2): (kept, {"column": 0, "image": a}),
+        (0, 2, 3, 1): (swapped, {"column": 0, "image": a}),
+        (0, 3, 1, 2): (first_row, {"image": a}),
+        (0, 3, 2, 1): (first_row, {"image": a}),
+        (1, 0, 2, 3): (kept, {"column": 0, "image": b}),
+        (1, 2, 0, 3): (first_row, {"image": b}),
+        (1, 2, 3, 0): (first_row, {"image": b}),
+        (1, 3, 2, 0): (swapped, {"column": 0, "image": b}),
+        (2, 0, 1, 3): (swapped, {"column": 0, "image": b}),
+        (2, 1, 0, 3): (first_row, {"image": b}),
+        (2, 1, 3, 0): (first_row, {"image": b}),
+        (2, 3, 1, 0): (kept, {"column": 0, "image": b}),
+        (3, 0, 1, 2): (first_row, {"image": a}),
+        (3, 0, 2, 1): (first_row, {"image": a}),
+        (3, 1, 0, 2): (swapped, {"column": 0, "image": a}),
+        (3, 2, 0, 1): (kept, {"column": 0, "image": a}),
+    }
 
 
 def test_induced_map_not_automorphism_raises(boolean2):

@@ -22,7 +22,6 @@ from qll.closure import (
     is_coatomistic,
     is_dac,
     join,
-    materialize,
     meet,
     powerset_space,
     space_from_json,
@@ -177,18 +176,17 @@ def test_family_cap():
         ExplicitSpace(big.family, budgets=DEFAULT_BUDGETS.with_overrides(family_cap=10))
 
 
-def test_implicit_space_materializes():
+def test_implicit_space_has_no_family():
     base = powerset_space(3)
     imp = ImplicitSpace(
         3,
         membership=base.contains_mask,
         closure=lambda m: m,
-        enumerator=lambda: iter(base.masks),
         description="powerset by predicate",
     )
     with pytest.raises(UnsupportedRepresentation):
         _ = imp.family
-    assert materialize(imp) == base
+    assert all(imp.contains_mask(m) for m in base.masks)
 
 
 def test_intersection_closure_matches_naive():

@@ -54,8 +54,6 @@ def test_resolve_down_needs_models():
 def test_resolve_top_materializes_by_default():
     inst = resolve_instance("top(mo2,mo2)")
     assert inst.space.is_explicit
-    lazy = resolve_instance("top(mo2,mo2)", materialize=False)
-    assert not lazy.space.is_explicit
 
 
 def test_base_instance_json_carries_model(capfd):
@@ -158,7 +156,23 @@ def test_thm86_certificates():
     assert certs["top_search"]["count"] == 0
     assert certs["top_search"]["certificate"]["coatoms"] == 40
     assert certs["star_search"]["count"] == 0
-    assert certs["star_search"]["nodes"] > 0  # searched, not just counted
+    assert certs["star_search"]["certificate"]["kind"] == "atom_coatom_count_mismatch"
+
+
+@pytest.mark.parametrize("left,right", [("mo2", "mo3"), ("mo3", "mo2")])
+def test_thm86_star_equals_sep_on_mixed_mo_factors(left, right):
+    # the coatoms of an MO factor are its singletons, so a star generator
+    # with no full row or column would pair the 4 rows with the 6 columns
+    # one to one, which cannot be: only the 24 crosses qualify, star is sep,
+    # and it admits sep's 45 maps
+    report = verify("thm8.6", left, right)
+    assert report.verdict == "falsified"
+    assert [c.name for c in report.checks if not c.passed] == ["star_admits_none"]
+    assert report.certificates["star_search"]["count"] == 45
+    sep, star = (
+        report.artifacts[f"{kind}({left},{right})"]["family"] for kind in ("sep", "star")
+    )
+    assert sep == star and len(sep) == 240
 
 
 def test_thm86_over_gf_factors_includes_down():

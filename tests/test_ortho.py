@@ -5,7 +5,7 @@ import pytest
 from helpers import family_as_sets, naive_orthocomplementations
 from qll.atomset import AtomSet
 from qll.budgets import DEFAULT_BUDGETS
-from qll.closure import powerset_space
+from qll.closure import ExplicitSpace, powerset_space
 from qll.errors import BudgetExceeded, ContractViolation, InputError
 from qll.geometry import mo_lattice
 from qll.ortho import (
@@ -106,11 +106,21 @@ def test_top_search_certificate(top_mm):
     assert res.certificate["coatoms"] == 40
 
 
-def test_force_search_confirms_certificate(star_mm):
-    res = find_orthocomplementations(star_mm.space, force_search=True)
-    assert res.exhaustive and not res.maps
-    assert res.certificate is not None
-    assert res.nodes > 0
+def test_naive_search_confirms_certificate():
+    # 4 atoms, 5 coatoms: the counting certificate says no map exists, and
+    # brute force over every injective atom-to-coatom assignment agrees
+    pairs = [{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0, 3}]
+    family = [set(), {0, 1, 2, 3}, *({i} for i in range(4)), *pairs]
+    space = ExplicitSpace(AtomSet.from_members(4, m) for m in family)
+    res = find_orthocomplementations(space)
+    assert res.exhaustive and not res.maps and res.nodes == 0
+    assert res.certificate == {
+        "kind": "atom_coatom_count_mismatch",
+        "atoms": 4,
+        "coatoms": 5,
+        "reason": "an orthocomplementation maps atoms bijectively onto coatoms",
+    }
+    assert naive_orthocomplementations(family_as_sets(space), range(4)) == []
 
 
 def test_search_node_budget(sep_mm):

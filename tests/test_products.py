@@ -13,7 +13,12 @@ from helpers import (
 from qll.atomset import AtomSet
 from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import coatoms, powerset_space, validate_simple_closure_space
-from qll.errors import BudgetExceeded, ContractViolation
+from qll.errors import (
+    BudgetExceeded,
+    ContractViolation,
+    InputError,
+    UnsupportedRepresentation,
+)
 from qll.products import (
     PairGrid,
     check_p123,
@@ -27,7 +32,7 @@ from qll.products import (
     top_product,
     validate_instance,
 )
-from qll.automorphisms import automorphism_group
+from qll.automorphisms import AtomPermutation, automorphism_group
 
 
 def _mo2_sets(mo2):
@@ -48,6 +53,20 @@ def test_pair_grid_indexing():
     assert row == 0b11111
     col = g.col_section(g.col_full_mask(2), 2)
     assert col == 0b111
+
+
+def test_pair_image():
+    v1, v2 = AtomPermutation((2, 0, 1)), AtomPermutation((1, 2, 0))
+    g = PairGrid(3, 3)
+    pairs = [g.unindex(k) for k in range(9)]
+    assert g.pair_image(v1, v2) == tuple(g.index(v1(i), v2(j)) for i, j in pairs)
+    assert g.pair_image(v1, v2, swap=True) == tuple(
+        g.index(v2(j), v1(i)) for i, j in pairs
+    )
+    with pytest.raises(InputError):
+        PairGrid(3, 2).pair_image(v1, AtomPermutation((1, 0)), swap=True)
+    with pytest.raises(InputError):
+        g.pair_image(v1, AtomPermutation((1, 0)))
 
 
 def test_grid_cross_mask():
@@ -195,8 +214,8 @@ def test_axioms_p123_pass_everywhere(sep_mm, star_mm, top_mm, down_gg):
 
 def test_p123_on_implicit_top(mo2):
     imp = top_product(mo2.space, mo2.space)
-    report = check_p123(imp)
-    assert report.passed
+    with pytest.raises(UnsupportedRepresentation):
+        check_p123(imp)
 
 
 def test_p2_detects_missing_cross(mo2, sep_mm):
@@ -285,13 +304,14 @@ def test_down_needs_budget(gf3_2):
 
 @pytest.mark.parametrize("cap", [6, 39])
 def test_down_hyperplanes_need_budget(gf3_2, cap):
-    # the factor planes have 6 subspaces each, GF(3)^4 has 40 hyperplanes
+    # the factor planes have 6 subspaces each, GF(3)^4 has 40 hyperplane
+    # normals
     with pytest.raises(BudgetExceeded) as exc:
         down_product(
             gf3_2.model, gf3_2.model, DEFAULT_BUDGETS.with_overrides(subspace_cap=cap)
         )
     assert exc.value.budget_name == "subspace_cap"
-    assert exc.traceback[-1].name == "hyperplanes"
+    assert exc.traceback[-1].name == "down_product"
 
 
 def test_star_closure_budget(mo2):
