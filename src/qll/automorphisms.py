@@ -1,8 +1,17 @@
 """Automorphisms of closure spaces and their behaviour on products.
 
 An automorphism is an atom permutation mapping the closed-set family onto
-itself.  The search backtracks over atom images with two invariant filters
-computed once per space:
+itself.  automorphism_chain builds the group as a stabilizer chain on the
+base 0, 1, ..., n-1 (Sims 1970; Seress, Permutation Group Algorithms, 2003):
+for each base point k, one element per point of the orbit of k under the
+subgroup fixing 0..k-1.  The group order is the product of the orbit
+lengths, and the elements the search found generate the group, so callers
+that only need the order or a generating set never list the elements;
+automorphism_group lists them as products of transversal elements.
+
+Each chain element comes from a backtracking search over atom images that
+starts from a fixed prefix, with two invariant filters computed once per
+space:
 
 * atom profile: the multiset of cardinalities of closed sets containing the
   atom (images must share the atom's profile);
@@ -12,12 +21,13 @@ computed once per space:
 Pair profiles are what make the search practical on product spaces: atoms in
 a common row or column of a product share many closed sets, generic pairs
 share few, and any assignment mixing the two dies within a couple of levels.
-A full family check at each leaf keeps the enumeration sound regardless of
-how weak the profiles are on a given space.
+A full family check at each leaf keeps the search sound regardless of how
+weak the profiles are on a given space.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -116,66 +126,151 @@ def is_automorphism(space: ClosureSpace, perm: AtomPermutation) -> bool:
     return first_unpreserved(perm.image, sp, sp) is None
 
 
-def automorphism_group(
-    space: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
-) -> list[AtomPermutation]:
-    """All automorphisms of an explicit space, sorted by image tuple."""
-    sp = _require_explicit(space, "automorphism_group")
+def _pair_profile_ids(sp: ExplicitSpace) -> list[list[int]]:
+    """ids[p][q]: a small integer naming the multiset of cardinalities of
+    the closed sets that hold both p and q; ids[p][p] names the atom profile.
+
+    Read off the closure kernel's index: the closed sets holding p and q are
+    the family indices in extent[p] & extent[q], counted per cardinality.
+    """
+    extent = sp.atom_extents()
+    by_size: dict[int, int] = {}
+    for i, m in enumerate(sp.masks):
+        size = m.bit_count()
+        by_size[size] = by_size.get(size, 0) | 1 << i
+    classes = tuple(by_size.values())
+    names: dict[tuple[int, ...], int] = {}
     n = sp.universe_size
-    masks = sp.masks
-
-    sizes = {m: m.bit_count() for m in masks}
-    atom_profile: list[tuple[int, ...]] = []
+    ids = [[0] * n for _ in range(n)]
     for p in range(n):
-        atom_profile.append(
-            tuple(sorted(sizes[m] for m in masks if m >> p & 1))
-        )
-    pair_profile: dict[tuple[int, int], tuple[int, ...]] = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            both = (1 << p) | (1 << q)
-            pair_profile[(p, q)] = tuple(
-                sorted(sizes[m] for m in masks if m & both == both)
-            )
+        for q in range(p, n):
+            both = extent[p] & extent[q]
+            key = tuple((both & c).bit_count() for c in classes)
+            ids[p][q] = ids[q][p] = names.setdefault(key, len(names))
+    return ids
 
-    def pp(a: int, b: int) -> tuple[int, ...]:
-        return pair_profile[(a, b) if a < b else (b, a)]
 
+def _orbit_reps(
+    start: dict[int, tuple[int, ...]], gens: Sequence[tuple[int, ...]]
+) -> dict[int, tuple[int, ...]]:
+    """Close start (point -> an element taking the level's base point there)
+    under gens, giving each new point h(b) the element h after rep(b)."""
+    reps = dict(start)
+    queue = list(reps)
+    while queue:
+        b = queue.pop()
+        for h in gens:
+            c = h[b]
+            if c not in reps:
+                reps[c] = tuple(h[x] for x in reps[b])
+                queue.append(c)
+    return reps
+
+
+@dataclass(frozen=True)
+class StabilizerChain:
+    """An automorphism group as a stabilizer chain on the base 0, 1, ..., n-1.
+
+    transversals[k] holds one element for each point of the orbit of k under
+    G_k, the subgroup fixing 0..k-1 pointwise; each maps k to its point and
+    fixes 0..k-1.  Every element of G is uniquely t_0 t_1 ... t_{n-1} with
+    t_k from transversals[k], so |G| is the product of the orbit lengths.
+    generators are the elements the search found, deepest level first;
+    those of levels k and deeper generate G_k, so together they generate G.
+    """
+
+    universe_size: int
+    transversals: tuple[tuple[AtomPermutation, ...], ...]
+    generators: tuple[AtomPermutation, ...]
+    nodes: int
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(t) for t in self.transversals)
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element's image tuple, as products of transversal elements."""
+        out = [tuple(range(self.universe_size))]
+        for trans in reversed(self.transversals):
+            if len(trans) > 1:
+                out = [tuple(t.image[x] for x in g) for t in trans for g in out]
+        return out
+
+
+def automorphism_chain(
+    space: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
+) -> StabilizerChain:
+    """The automorphism group of an explicit space as a stabilizer chain.
+
+    Levels run from the deepest base point up, so the generators of G_{k+1}
+    are known at level k.  For each point c > k that the generators found
+    so far do not already reach from k, a backtracking search looks for the
+    first automorphism fixing 0..k-1 with k -> c, through the profile
+    filters, with the full family check at every leaf.  When there is none,
+    c is outside the orbit of k, and so is every point the generators (all
+    in G_k) take c to.  Search nodes draw on node_cap.
+    """
+    sp = _require_explicit(space, "automorphism_chain")
+    n = sp.universe_size
+    ids = _pair_profile_ids(sp)
+    atoms = range(n)
     image = [-1] * n
-    used = 0
-    found: list[AtomPermutation] = []
     nodes = 0
 
-    def assign(p: int) -> None:
-        nonlocal used, nodes
+    def extend(p: int, used: int, cands: Sequence[int]) -> bool:
+        """Fill image[p:] from cands at p and any atom after; True at the
+        first leaf that maps the family onto itself."""
+        nonlocal nodes
         if p == n:
-            if first_unpreserved(image, sp, sp) is None:
-                found.append(AtomPermutation(tuple(image)))
-            return
-        for cand in range(n):
-            if used >> cand & 1:
+            return first_unpreserved(image, sp, sp) is None
+        row = ids[p]
+        for cand in cands:
+            if used >> cand & 1 or ids[cand][cand] != row[p]:
                 continue
-            if atom_profile[cand] != atom_profile[p]:
-                continue
-            ok = True
-            for prev in range(p):
-                if pp(prev, p) != pp(image[prev], cand):
-                    ok = False
-                    break
-            if not ok:
+            crow = ids[cand]
+            if any(row[q] != crow[image[q]] for q in range(p)):
                 continue
             nodes += 1
             if nodes > budgets.node_cap:
                 raise BudgetExceeded("node_cap", budgets.node_cap)
             image[p] = cand
-            used |= 1 << cand
-            assign(p + 1)
-            used &= ~(1 << cand)
-            image[p] = -1
+            if extend(p + 1, used | 1 << cand, atoms):
+                return True
+        return False
 
-    assign(0)
-    found.sort(key=lambda perm: perm.image)
-    return found
+    identity = tuple(atoms)
+    transversals: list[tuple[AtomPermutation, ...]] = [()] * n
+    gens: list[tuple[int, ...]] = []  # generators of G_{k+1}, then of G_k
+    for k in reversed(atoms):
+        reps = {k: identity}
+        ruled_out: set[int] = set()
+        for c in range(k + 1, n):
+            if c in reps or c in ruled_out:
+                continue
+            image[:k] = atoms[:k]
+            if extend(k, (1 << k) - 1, (c,)):
+                gens.append(tuple(image))
+                reps = _orbit_reps(reps, gens)
+            else:
+                ruled_out.update(_orbit_reps({c: identity}, gens))
+        transversals[k] = tuple(AtomPermutation(reps[c]) for c in sorted(reps))
+    return StabilizerChain(
+        n, tuple(transversals), tuple(AtomPermutation(g) for g in gens), nodes
+    )
+
+
+def automorphism_group(
+    space: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
+) -> list[AtomPermutation]:
+    """All automorphisms of an explicit space, sorted by image tuple.
+
+    Lists the elements of automorphism_chain as products of its transversal
+    elements; the elements count against node_cap with the search nodes.
+    """
+    chain = automorphism_chain(space, budgets)
+    if chain.nodes + chain.order > budgets.node_cap:
+        raise BudgetExceeded("node_cap", budgets.node_cap)
+    return [AtomPermutation(img) for img in sorted(chain.elements())]
 
 
 def is_transitive(perms: Sequence[AtomPermutation], universe_size: int) -> bool:

@@ -224,9 +224,7 @@ class ExplicitSpace(ClosureSpace):
         """
         if mask in self._mask_set:
             return mask
-        extent = self._extent
-        if extent is None:
-            extent = self._extent = self._build_extent()
+        extent = self._extent or self.atom_extents()
         idx = (1 << len(self._masks)) - 1
         for p in bit_members(mask):
             idx &= extent[p]
@@ -235,6 +233,12 @@ class ExplicitSpace(ClosureSpace):
             if e & idx == idx:
                 out |= 1 << q
         return out
+
+    def atom_extents(self) -> tuple[int, ...]:
+        """extent[p] for every atom p: the closure kernel's index, built once."""
+        if self._extent is None:
+            self._extent = self._build_extent()
+        return self._extent
 
     def _build_extent(self) -> tuple[int, ...]:
         size = len(self._masks)

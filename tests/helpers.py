@@ -360,3 +360,63 @@ def full_enumeration_down(m1, m2):
         "collisions": len(images) - len(distinct),
     }
     return _canonical(distinct), notes
+
+
+# ---------------------------------------------------------------------------
+# Slow symmetry checks: the leaf-enumeration automorphism search that the
+# stabilizer chain replaced, and the P4 scan over every pair of symmetries.
+
+
+def _maps_family_into(image, masks, mask_set):
+    for m in masks:
+        if sum(1 << image[p] for p in _members(m)) not in mask_set:
+            return False
+    return True
+
+
+def naive_automorphism_group(space):
+    """Every automorphism's image tuple, sorted: a backtracking search over
+    atom images, filtered by the sorted-size atom and pair profiles, with a
+    full family check at every leaf."""
+    n, masks = space.universe_size, space.masks
+    mask_set = set(masks)
+
+    def profile(both):
+        return tuple(sorted(m.bit_count() for m in masks if m & both == both))
+
+    atom = [profile(1 << p) for p in range(n)]
+    pair = {(p, q): profile(1 << p | 1 << q) for p in range(n) for q in range(n) if p != q}
+    image, found = [], []
+
+    def assign(p, used):
+        if p == n:
+            if _maps_family_into(image, masks, mask_set):
+                found.append(tuple(image))
+            return
+        for cand in range(n):
+            if cand in used or atom[cand] != atom[p]:
+                continue
+            if all(pair[(q, p)] == pair[(image[q], cand)] for q in range(p)):
+                image.append(cand)
+                assign(p + 1, used | {cand})
+                image.pop()
+
+    assign(0, frozenset())
+    return sorted(found)
+
+
+def nested_p4_failures(instance, left_symmetries, right_symmetries):
+    """(v1, v2) image pairs, in nested order, whose pair map
+    (p1, p2) -> (v1 p1, v2 p2) does not preserve the product family."""
+    grid, masks = instance.grid, instance.space.masks
+    mask_set = set(masks)
+    bad = []
+    for v1 in left_symmetries:
+        for v2 in right_symmetries:
+            image = [
+                grid.index(v1.image[i], v2.image[j])
+                for i, j in (grid.unindex(k) for k in range(grid.n1 * grid.n2))
+            ]
+            if not _maps_family_into(image, masks, mask_set):
+                bad.append((v1.image, v2.image))
+    return bad

@@ -190,6 +190,15 @@ def test_thm75_counts():
     assert certs["star_group_order"] == 1152
 
 
+def test_thm75_on_mo3_factors():
+    # 2 * 720**2 elements per product: the pipeline reads generators only
+    report = verify("thm7.5", "mo3", "mo3")
+    assert report.verdict == "verified"
+    certs = report.certificates
+    assert certs["factor_group_orders"] == {"left": 720, "right": 720}
+    assert certs["sep_group_order"] == certs["star_group_order"] == 1036800 == 2 * 720**2
+
+
 def test_thm5x_witness_structure():
     report = verify("thm5.x", "mo2", "mo2")
     graph = report.certificates["bijection_graph"]

@@ -8,6 +8,7 @@ from helpers import (
     naive_star_family,
     naive_star_generators,
     naive_top_family,
+    nested_p4_failures,
     product_family_as_sets,
 )
 from qll.atomset import AtomSet
@@ -33,6 +34,7 @@ from qll.products import (
     validate_instance,
 )
 from qll.automorphisms import AtomPermutation, automorphism_group
+from qll.geometry import similitude_group
 
 
 def _mo2_sets(mo2):
@@ -256,9 +258,9 @@ def test_p4_full_aut_passes_on_sep(mo2, sep_mm):
     assert report.check("P4").passed
 
 
-def test_p4_detects_asymmetric_family(mo2, boolean2):
-    # family closed under intersection but not under the atom swap of the
-    # left factor: the single row breaks covariance
+def _single_row_instance(boolean2):
+    """A family closed under intersection but not under the atom swap of the
+    left factor: the single row breaks covariance."""
     from qll.closure import ExplicitSpace
     from qll.products import ProductInstance
 
@@ -267,17 +269,55 @@ def test_p4_detects_asymmetric_family(mo2, boolean2):
     masks = {0, row0, (1 << 4) - 1}
     for k in range(4):
         masks.add(1 << k)
-    inst = ProductInstance(
+    return ProductInstance(
         "custom",
         boolean2.space,
         boolean2.space,
         ExplicitSpace(AtomSet(4, m) for m in masks),
         grid,
     )
+
+
+def test_p4_detects_asymmetric_family(mo2, boolean2):
+    inst = _single_row_instance(boolean2)
     swap = automorphism_group(boolean2.space)  # contains the atom swap
     report = check_p4(inst, swap, swap)
     assert not report.check("P4").passed
     assert report.check("P4").witnesses
+
+
+def test_p4_matches_nested_scan(mo2, boolean2, gf3_2, sep_mm, down_gg):
+    aut_m = automorphism_group(mo2.space)
+    aut_g = automorphism_group(gf3_2.space)
+    sims = similitude_group(gf3_2.model)
+    aut_b = automorphism_group(boolean2.space)
+    cases = [
+        (sep_mm, aut_m, aut_m),
+        (down_gg, aut_g, aut_g),
+        (down_gg, sims, sims),
+        (down_gg, aut_g, sims),
+        (_single_row_instance(boolean2), aut_b, aut_b),
+    ]
+    for inst, t1, t2 in cases:
+        check = check_p4(inst, t1, t2).check("P4")
+        failing = nested_p4_failures(inst, t1, t2)
+        assert check.passed == (not failing)
+        # the witnesses are the first failing pairs (v, 1), then (1, w)
+        one1, one2 = t1[0].image, t2[0].image
+        firsts = [(v.image, one2) for v in t1] + [(one1, w.image) for w in t2]
+        expected = [pair for pair in firsts if pair in failing][:3]
+        assert [(tuple(w["v1"]), tuple(w["v2"])) for w in check.witnesses] == expected
+    check = check_p4(_single_row_instance(boolean2), aut_b, aut_b).check("P4")
+    assert check.witnesses == ({"v1": [1, 0], "v2": [0, 1], "unpreserved": [0, 1]},)
+
+
+def test_p4_needs_identity_in_both_lists(mo2, sep_mm):
+    group = automorphism_group(mo2.space)
+    assert group[0] == AtomPermutation.identity(4)
+    with pytest.raises(InputError):
+        check_p4(sep_mm, group[1:], group)
+    with pytest.raises(InputError):
+        check_p4(sep_mm, group, group[1:])
 
 
 def test_interval_check_star(star_mm):
