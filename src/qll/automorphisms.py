@@ -5,9 +5,10 @@ itself.  automorphism_chain builds the group as a stabilizer chain on the
 base 0, 1, ..., n-1 (Sims 1970; Seress, Permutation Group Algorithms, 2003):
 for each base point k, one element per point of the orbit of k under the
 subgroup fixing 0..k-1.  The group order is the product of the orbit
-lengths, and the elements the search found generate the group, so callers
-that only need the order or a generating set never list the elements;
-automorphism_group lists them as products of transversal elements.
+lengths, and the elements the search found generate the group.  Every
+consumer reads the order, the orbits or the generators (a group is fixed
+by any generating set), so nothing lists a group; automorphism_group
+remains for callers that want the sorted element list.
 
 Each chain element comes from a backtracking search over atom images that
 starts from a fixed prefix, with two invariant filters computed once per
@@ -189,7 +190,8 @@ class StabilizerChain:
         return math.prod(len(t) for t in self.transversals)
 
     def elements(self) -> list[tuple[int, ...]]:
-        """Every element's image tuple, as products of transversal elements."""
+        """Every element's image tuple, as products of transversal elements;
+        only automorphism_group lists them."""
         out = [tuple(range(self.universe_size))]
         for trans in reversed(self.transversals):
             if len(trans) > 1:
@@ -266,6 +268,10 @@ def automorphism_group(
 
     Lists the elements of automorphism_chain as products of its transversal
     elements; the elements count against node_cap with the search nodes.
+    Nothing in qll calls it: the pipelines and the CLI read the chain's
+    order and generators.  It stays public because perfbench/tracing.py
+    counts its elements by this name, so it can go only together with a
+    change to the benchmark.
     """
     chain = automorphism_chain(space, budgets)
     if chain.nodes + chain.order > budgets.node_cap:
@@ -275,18 +281,7 @@ def automorphism_group(
 
 def is_transitive(perms: Sequence[AtomPermutation], universe_size: int) -> bool:
     """Single orbit on atoms under the given permutations."""
-    if universe_size == 0:
-        return True
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for perm in perms:
-            y = perm.image[x]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return len(reached) == universe_size
+    return len(orbits(perms, universe_size)) <= 1
 
 
 def orbits(perms: Sequence[AtomPermutation], universe_size: int) -> tuple[tuple[int, ...], ...]:

@@ -11,9 +11,9 @@ import argparse
 import json
 import sys
 
-from .automorphisms import automorphism_group, decompose_automorphism, orbits
+from .automorphisms import automorphism_chain, decompose_automorphism, orbits
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .closure import find_covering_violation, find_dual_covering_violation, is_atomistic, is_coatomistic, is_dac
+from .closure import find_covering_violation, find_dual_covering_violation, is_atomistic, is_coatomistic
 from .errors import BudgetExceeded, DecompositionFailed, QllError
 from .export import export_dot
 from .geometry import similitude_group
@@ -148,14 +148,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     if prop == "dac":
         dual = find_dual_covering_violation(inst.space)
         cov = find_covering_violation(inst.space)
+        atomistic = is_atomistic(inst.space)
+        coatomistic = is_coatomistic(inst.space)
         result = {
             "instance": inst.name,
             "property": prop,
-            "atomistic": is_atomistic(inst.space),
-            "coatomistic": is_coatomistic(inst.space),
+            "atomistic": atomistic,
+            "coatomistic": coatomistic,
             "covering": cov is None,
             "dual_covering": dual is None,
-            "dac": is_dac(inst.space),
+            # is_dac from the four results above, not computed again
+            "dac": atomistic and coatomistic and cov is None and dual is None,
             "witness": None if dual is None else dual.to_json(),
         }
         _emit(args, result)
@@ -179,9 +182,12 @@ def cmd_check(args: argparse.Namespace) -> int:
                 return EXIT_USAGE
             t1 = similitude_group(inst.left.model, budgets)
             t2 = similitude_group(inst.right.model, budgets)
+            pairs = len(t1) * len(t2)
         else:
-            t1 = automorphism_group(inst.product.left, budgets)
-            t2 = automorphism_group(inst.product.right, budgets)
+            c1 = automorphism_chain(inst.product.left, budgets)
+            c2 = automorphism_chain(inst.product.right, budgets)
+            t1, t2 = c1.generators, c2.generators
+            pairs = c1.order * c2.order
         report = check_p4(inst.product, t1, t2)
         _emit(
             args,
@@ -189,7 +195,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "instance": inst.name,
                 "property": prop,
                 "symmetries": args.symmetries,
-                "pairs": len(t1) * len(t2),
+                "pairs": pairs,
                 **report.to_json(),
             },
         )
@@ -202,26 +208,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_aut(args: argparse.Namespace) -> int:
     budgets = _budgets(args)
     inst = resolve_instance(args.instance, budgets)
-    group = automorphism_group(inst.space, budgets)
+    chain = automorphism_chain(inst.space, budgets)
     payload: dict = {
         "instance": inst.name,
-        "order": len(group),
-        "orbits": [list(o) for o in orbits(group, inst.space.universe_size)],
-        "elements": [{"image": list(u.image)} for u in group],
+        "order": chain.order,
+        "orbits": [list(o) for o in orbits(chain.generators, inst.space.universe_size)],
+        "generators": [u.to_json() for u in chain.generators],
     }
     if inst.product is not None:
         table = []
-        for u in group:
+        for u in chain.generators:
             try:
                 dec = decompose_automorphism(inst.product, u)
-                table.append(
-                    {
-                        "image": list(u.image),
-                        "swap": dec.swap,
-                        "v1": list(dec.v1.image),
-                        "v2": list(dec.v2.image),
-                    }
-                )
+                table.append({"image": list(u.image), **dec.to_json()})
             except DecompositionFailed as exc:
                 table.append(
                     {"image": list(u.image), "decomposes": False, "witness": exc.witness}

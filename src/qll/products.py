@@ -30,7 +30,7 @@ witnesses when they are strict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .atomset import AtomSet, bit_members, canonical_mask_key
 from .automorphisms import AtomPermutation, first_unpreserved
@@ -594,26 +594,25 @@ def check_p123(instance: ProductInstance) -> AxiomReport:
 
 def check_p4(
     instance: ProductInstance,
-    left_symmetries: "list[AtomPermutation]",
-    right_symmetries: "list[AtomPermutation]",
+    left_generators: Sequence[AtomPermutation],
+    right_generators: Sequence[AtomPermutation],
 ) -> AxiomReport:
-    """Every pair (v1, v2) of designated factor symmetries must induce a
-    product automorphism.  Reports the failing pairs (up to three witnesses).
+    """Every pair (v1, v2) in <S1> x <S2>, the groups the two lists of factor
+    symmetries generate, must induce a product automorphism.  Reports the
+    failing pairs (up to three witnesses).
 
     The pairs whose map preserves the family are closed under composition,
-    and (v1, v2) is (v1, 1) after (1, v2), so it is enough to test the pairs
-    (v1, 1) and (1, v2): |T1| + |T2| scans for |T1| * |T2| pairs.  That
-    needs the identity in both lists; the failing pairs reported are among
-    these.
+    and the pairs (s, 1) and (1, t) for s in S1 and t in S2 generate
+    <S1> x <S2>, so it is enough to test those: |S1| + |S2| scans.  The
+    witnesses are the first failing pairs of that scan.  A full element list
+    is also a generating set.
     """
     space = _require_explicit(instance.space, "check_p4")
     grid = instance.grid
     one1 = AtomPermutation.identity(grid.n1)
     one2 = AtomPermutation.identity(grid.n2)
-    if one1 not in left_symmetries or one2 not in right_symmetries:
-        raise InputError("check_p4 needs the identity in both symmetry lists")
-    pairs = [(v1, one2) for v1 in left_symmetries]
-    pairs += [(one1, v2) for v2 in right_symmetries]
+    pairs = [(s, one2) for s in left_generators]
+    pairs += [(one1, t) for t in right_generators]
     witnesses = []
     for v1, v2 in pairs:
         bad = first_unpreserved(grid.pair_image(v1, v2), space, space)

@@ -405,6 +405,21 @@ def naive_automorphism_group(space):
     return sorted(found)
 
 
+def generated_group(generators, n):
+    """Every element of the group the image tuples generate on 0..n-1,
+    sorted: the identity closed under composition with each generator."""
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            gh = tuple(g[x] for x in h)
+            if gh not in elements:
+                elements.add(gh)
+                frontier.append(gh)
+    return sorted(elements)
+
+
 def nested_p4_failures(instance, left_symmetries, right_symmetries):
     """(v1, v2) image pairs, in nested order, whose pair map
     (p1, p2) -> (v1 p1, v2 p2) does not preserve the product family."""

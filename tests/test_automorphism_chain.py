@@ -10,7 +10,7 @@ from functools import cache
 
 import pytest
 
-from helpers import naive_automorphism_group
+from helpers import generated_group, naive_automorphism_group
 from qll.atomset import AtomSet
 from qll.automorphisms import (
     AtomPermutation,
@@ -75,6 +75,7 @@ def test_chain_matches_naive_group(name, seed):
     assert orbits(chain.generators, n) == orbits(naive_perms, n)
     group = set(expected)
     assert {g.image for g in chain.generators} <= group
+    assert generated_group([g.image for g in chain.generators], n) == expected
     for k, trans in enumerate(chain.transversals):
         # one element per orbit point, each fixing the earlier base points
         assert sorted(t.image[k] for t in trans) == [t.image[k] for t in trans]
@@ -110,19 +111,24 @@ def test_node_cap_counts_listed_elements():
 
 
 def _oracle_aut_payload(name):
-    """The aut command's payload, built from the oracle's element list."""
+    """The aut command's payload, with the order and orbits read from the
+    oracle's element list and the decomposition rows built per generator;
+    the generators must generate exactly the oracle's group."""
     inst = resolve_instance(name)
     n = inst.space.universe_size
-    group = [AtomPermutation(img) for img in naive_automorphism_group(inst.space)]
+    expected = naive_automorphism_group(inst.space)
+    group = [AtomPermutation(img) for img in expected]
+    gens = automorphism_chain(inst.space).generators
+    assert generated_group([g.image for g in gens], n) == expected
     payload = {
         "instance": inst.name,
         "order": len(group),
         "orbits": [list(o) for o in orbits(group, n)],
-        "elements": [{"image": list(u.image)} for u in group],
+        "generators": [{"image": list(u.image)} for u in gens],
     }
     if inst.product is not None:
         table = []
-        for u in group:
+        for u in gens:
             try:
                 dec = decompose_automorphism(inst.product, u)
             except DecompositionFailed as exc:

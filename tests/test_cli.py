@@ -117,9 +117,11 @@ def test_aut_payload(capsys):
     code, out, _ = _run(capsys, "aut", "mo2")
     assert code == 0
     data = json.loads(out)
+    assert list(data) == ["instance", "order", "orbits", "generators"]
     assert data["order"] == 24
-    assert len(data["elements"]) == 24
-    assert "decompositions" not in data
+    assert data["orbits"] == [[0, 1, 2, 3]]
+    assert 0 < len(data["generators"]) < 24
+    assert all(sorted(g["image"]) == [0, 1, 2, 3] for g in data["generators"])
 
 
 def test_aut_decomposition_table(capsys):
@@ -128,9 +130,27 @@ def test_aut_decomposition_table(capsys):
     data = json.loads(out)
     assert data["order"] == 24
     table = data["decompositions"]
+    # one row per generator, in generator order
+    assert [row["image"] for row in table] == [g["image"] for g in data["generators"]]
     failed = [row for row in table if row.get("decomposes") is False]
-    assert len(failed) == 16
+    # the 8 of 24 elements that decompose form a proper subgroup, so some
+    # generator lies outside it
+    assert failed
     assert all("witness" in row for row in failed)
+    assert all(set(row) == {"image", "swap", "v1", "v2"} for row in table if row not in failed)
+
+
+def test_aut_on_mo3_product(capsys):
+    # order 2 * 720 * 720 from the chain; listing the elements would not fit
+    # in memory
+    code, out, _ = _run(capsys, "aut", "sep(mo3,mo3)")
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == 1_036_800
+    table = data["decompositions"]
+    assert len(table) == len(data["generators"])
+    assert all(row.get("decomposes") is not False for row in table)
+    assert any(row["swap"] for row in table)
 
 
 def test_verify_exit_codes(capsys):

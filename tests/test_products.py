@@ -33,7 +33,7 @@ from qll.products import (
     top_product,
     validate_instance,
 )
-from qll.automorphisms import AtomPermutation, automorphism_group
+from qll.automorphisms import AtomPermutation, automorphism_chain, automorphism_group
 from qll.geometry import similitude_group
 
 
@@ -258,15 +258,16 @@ def test_p4_full_aut_passes_on_sep(mo2, sep_mm):
     assert report.check("P4").passed
 
 
-def _single_row_instance(boolean2):
+def _single_row_instance(boolean2, column=False):
     """A family closed under intersection but not under the atom swap of the
-    left factor: the single row breaks covariance."""
+    left factor: the single row breaks covariance.  With column=True, a
+    single column breaks it for the right factor."""
     from qll.closure import ExplicitSpace
     from qll.products import ProductInstance
 
     grid = PairGrid(2, 2)
-    row0 = grid.row_full_mask(0)
-    masks = {0, row0, (1 << 4) - 1}
+    line = grid.col_full_mask(0) if column else grid.row_full_mask(0)
+    masks = {0, line, (1 << 4) - 1}
     for k in range(4):
         masks.add(1 << k)
     return ProductInstance(
@@ -311,13 +312,30 @@ def test_p4_matches_nested_scan(mo2, boolean2, gf3_2, sep_mm, down_gg):
     assert check.witnesses == ({"v1": [1, 0], "v2": [0, 1], "unpreserved": [0, 1]},)
 
 
-def test_p4_needs_identity_in_both_lists(mo2, sep_mm):
-    group = automorphism_group(mo2.space)
-    assert group[0] == AtomPermutation.identity(4)
-    with pytest.raises(InputError):
-        check_p4(sep_mm, group[1:], group)
-    with pytest.raises(InputError):
-        check_p4(sep_mm, group, group[1:])
+def test_p4_on_generators_matches_nested_scan(mo2, boolean2, gf3_2, sep_mm, down_gg):
+    # the five cases above and the single column, each factor group also
+    # given by generating sets that are not the element list: the chain's
+    # generators, and the element list without the identity
+    def aut(space):
+        return automorphism_group(space), [automorphism_chain(space).generators]
+
+    m, g, b = aut(mo2.space), aut(gf3_2.space), aut(boolean2.space)
+    s = (similitude_group(gf3_2.model), [])
+    cases = [
+        (sep_mm, m, m),
+        (down_gg, g, g),
+        (down_gg, s, s),
+        (down_gg, g, s),
+        (_single_row_instance(boolean2), b, b),
+        (_single_row_instance(boolean2, column=True), b, b),
+    ]
+    for inst, (t1, gens1), (t2, gens2) in cases:
+        expected = not nested_p4_failures(inst, t1, t2)
+        for t in (t1, t2):
+            assert t[0] == AtomPermutation.identity(len(t[0].image))
+        for s1 in gens1 + [t1[1:]]:
+            for s2 in gens2 + [t2[1:]]:
+                assert check_p4(inst, s1, s2).check("P4").passed == expected
 
 
 def test_interval_check_star(star_mm):
