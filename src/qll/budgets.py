@@ -17,8 +17,9 @@ class Budgets:
     # closures check it after each generator.
     family_cap: int = 2**20
     # Backtracking search nodes (orthocomplementation and automorphism
-    # search, star generators, and the rows placed by the materialized top
-    # search) and the matrices scanned for a similitude group.
+    # search, and the rows placed by the section search behind the
+    # materialized top and the star generators) and the matrices scanned
+    # for a similitude group.
     node_cap: int = 10**8
     # Subspaces one enumeration may list: the subspaces of a factor model,
     # and the hyperplane normals of the tensor model behind down.

@@ -477,18 +477,17 @@ def is_atomistic(space: ClosureSpace) -> bool:
 
 def is_coatomistic(space: ClosureSpace) -> bool:
     """Every closed set is an intersection of coatoms (the universe being the
-    empty intersection)."""
+    empty intersection).
+
+    The intersection of the coatoms above m is m's closure in the space the
+    coatoms and the universe generate, so the closure kernel answers it.
+    """
     sp = _require_explicit(space, "is_coatomistic")
-    cms = sp.coatom_masks()
-    full = sp.full_mask()
-    for m in sp.masks:
-        acc = full
-        for c in cms:
-            if m & ~c == 0:
-                acc &= c
-        if acc != m:
-            return False
-    return True
+    n = sp.universe_size
+    coatomic = ExplicitSpace(
+        AtomSet(n, m) for m in (*sp.coatom_masks(), sp.full_mask())
+    )
+    return all(coatomic.closure_mask(m) == m for m in sp.masks)
 
 
 @dataclass(frozen=True)

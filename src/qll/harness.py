@@ -39,7 +39,7 @@ from .geometry import (
     sigma_down,
     tensor_model,
 )
-from .gf import kron_vec, vec_add
+from .gf import kron_vec, projective_points, vec_add
 from .ortho import (
     OrthogonalityRelation,
     find_orthocomplementations,
@@ -688,20 +688,15 @@ def _pipeline_down_properties(
         )
     )
 
-    # independent description of the coatoms: duals of nonzero linear maps
-    map_coatoms = set()
-    entries = left.model.n * right.model.n
-    for code in range(1, q**entries):
-        digits = []
-        c = code
-        for _ in range(entries):
-            digits.append(c % q)
-            c //= q
-        a = tuple(
-            tuple(digits[i * right.model.n + j] for j in range(right.model.n))
-            for i in range(left.model.n)
-        )
-        map_coatoms.add(linear_map_coatom(a, left.model, right.model).mask)
+    # independent description of the coatoms: duals of nonzero linear maps,
+    # one per projective class since proportional maps give the same set
+    k1, k2 = left.model.n, right.model.n
+    map_coatoms = {
+        linear_map_coatom(
+            tuple(w[i * k1 : (i + 1) * k1] for i in range(k2)), left.model, right.model
+        ).mask
+        for w in projective_points(q, k1 * k2)
+    }
     checks.append(
         _check(
             "coatoms_are_linear_map_duals",

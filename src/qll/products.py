@@ -9,8 +9,7 @@ strided).  Four constructions on that shared universe:
 * top:  all sets whose sections are closed in the matching factor (the
   largest family).  Kept implicit: membership checks sections, closure
   alternates row-wise and column-wise factor closures to a fixpoint.
-  Materialization is a row-by-row search over the second factor's family
-  that prunes on the column prefixes placed so far.
+  Materialization is the section search over the two factor families.
 * down: images of tensor-model subspaces under sigma_down (the pairs whose
   product vector lies in the subspace), for factors given as finite-field
   models.  sigma_down preserves intersections and every subspace is an
@@ -19,6 +18,9 @@ strided).  Four constructions on that shared universe:
 * star: intersections of the generator sets whose rows are coatoms-or-full
   in the second factor and columns coatoms-or-full in the first.
 
+top and the star generators are the sets whose rows and columns lie in
+given lists; _section_search finds them row by row, pruning on the column
+prefixes placed so far, and counts each row placed against node_cap.
 sep, star and down are the intersection closures of their generators,
 built one generator at a time by _close_under_intersections.
 
@@ -30,7 +32,7 @@ witnesses when they are strict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from .atomset import AtomSet, bit_members, canonical_mask_key
 from .automorphisms import AtomPermutation, first_unpreserved
@@ -280,25 +282,26 @@ def top_product(left: ClosureSpace, right: ClosureSpace) -> ProductInstance:
     return ProductInstance("top", left, right, space, grid)
 
 
-def materialize_top_product(
-    left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
-) -> ProductInstance:
-    """Explicit top product via a row-by-row backtracking search.
+def _section_search(
+    row_options: Sequence[int],
+    col_allowed: Collection[int],
+    n1: int,
+    n2: int,
+    budgets: Budgets,
+) -> list[int]:
+    """Every grid mask whose rows lie in row_options and whose columns lie
+    in col_allowed, by a row-by-row backtracking search.
 
-    Row i1 ranges over the second factor's family.  Once k rows are placed,
-    each column holds the first k bits of its section, and that prefix must
-    agree with some closed set of the first factor on those k atoms; a
+    Row i1 ranges over row_options (masks over the second factor).  Once k
+    rows are placed, each column holds the first k bits of its section, and
+    that prefix must agree with some allowed column on those k atoms; a
     branch stops at the first row that breaks this for some column.  After
     the last row the prefixes are whole sections, so the leaves are exactly
-    the section-closed sets.  Every row placed (each node of the search
-    tree) counts against node_cap.
+    the wanted masks.  Every row placed (each node of the search tree)
+    counts against node_cap and every leaf against family_cap.
     """
-    l = _require_explicit(left, "materialize_top_product")
-    r = _require_explicit(right, "materialize_top_product")
-    n1, n2 = l.universe_size, r.universe_size
-    grid = PairGrid(n1, n2)
-    # prefixes[k]: the closed sets of the first factor cut to atoms 0..k-1
-    prefixes = [{c & ((1 << k) - 1) for c in l.masks} for k in range(n1 + 1)]
+    # prefixes[k]: the allowed columns cut to atoms 0..k-1
+    prefixes = [{c & ((1 << k) - 1) for c in col_allowed} for k in range(n1 + 1)]
     keep: list[int] = []
     nodes = 0
 
@@ -318,7 +321,7 @@ def materialize_top_product(
                 need |= 1 << j
             elif c | bit not in ok:
                 forbid |= 1 << j
-        for row in r.masks:
+        for row in row_options:
             if row & forbid or need & ~row:
                 continue
             nodes += 1
@@ -331,6 +334,19 @@ def materialize_top_product(
             )
 
     rec(0, 0, (0,) * n2)
+    return keep
+
+
+def materialize_top_product(
+    left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
+) -> ProductInstance:
+    """Explicit top product: the section search with rows ranging over the
+    second factor's family and columns over the first's.  Each row placed
+    counts against node_cap and each set found against family_cap."""
+    l = _require_explicit(left, "materialize_top_product")
+    r = _require_explicit(right, "materialize_top_product")
+    grid = PairGrid(l.universe_size, r.universe_size)
+    keep = _section_search(r.masks, l.masks, grid.n1, grid.n2, budgets)
     space = ExplicitSpace(
         (AtomSet(grid.size, m) for m in keep),
         atom_labels=_pair_labels(l, r),
@@ -344,60 +360,20 @@ def star_generators(
 ) -> list[AtomSet]:
     """Proper subsets of the pair universe whose every row section is a
     coatom of the second factor or its whole universe, and every column
-    section a coatom of the first factor or its whole universe."""
+    section a coatom of the first factor or its whole universe, in
+    canonical order: the section search on those options, less the full
+    mask.  Each row placed counts against node_cap and each set found
+    against family_cap."""
     l = _require_explicit(left, "star_generators")
     r = _require_explicit(right, "star_generators")
-    n1, n2 = l.universe_size, r.universe_size
-    grid = PairGrid(n1, n2)
-    row_options = sorted(
-        set(r.coatom_masks()) | {(1 << n2) - 1}, key=canonical_mask_key
-    )
-    col_allowed = sorted(
-        set(l.coatom_masks()) | {(1 << n1) - 1}, key=canonical_mask_key
-    )
+    grid = PairGrid(l.universe_size, r.universe_size)
+    # coatoms are proper, so no row option repeats and no leaf is found twice
+    rows = (*r.coatom_masks(), (1 << grid.n2) - 1)
+    cols = (*l.coatom_masks(), (1 << grid.n1) - 1)
     full = (1 << grid.size) - 1
-    out: list[int] = []
-    nodes = 0
-
-    rows: list[int] = []
-
-    def feasible_columns(depth: int) -> bool:
-        # a partial column can still reach an allowed value v iff the bits
-        # already placed sit inside v and the missing bits of v lie in rows
-        # not yet assigned
-        remaining = ((1 << n1) - 1) >> depth << depth
-        for j in range(n2):
-            partial = 0
-            for i in range(depth):
-                partial |= ((rows[i] >> j) & 1) << i
-            if not any(
-                partial & ~v == 0 and v & ~(partial | remaining) == 0
-                for v in col_allowed
-            ):
-                return False
-        return True
-
-    def rec(depth: int) -> None:
-        nonlocal nodes
-        if depth == n1:
-            mask = grid.from_rows(rows)
-            if mask != full and all(
-                grid.col_section(mask, j) in col_allowed for j in range(n2)
-            ):
-                out.append(mask)
-            return
-        for opt in row_options:
-            nodes += 1
-            if nodes > budgets.node_cap:
-                raise BudgetExceeded("node_cap", budgets.node_cap)
-            rows.append(opt)
-            if feasible_columns(depth + 1):
-                rec(depth + 1)
-            rows.pop()
-
-    rec(0)
-    out.sort(key=canonical_mask_key)
-    return [AtomSet(grid.size, m) for m in out]
+    masks = _section_search(rows, cols, grid.n1, grid.n2, budgets)
+    masks.sort(key=canonical_mask_key)
+    return [AtomSet(grid.size, m) for m in masks if m != full]
 
 
 def star_product(

@@ -293,8 +293,9 @@ def linear_dual_covering_violation(space):
 
 # ---------------------------------------------------------------------------
 # Slow constructors: the product builders that the generator-at-a-time
-# intersection closure, the pruned top search and the hyperplane generators
-# replaced.  They return mask tuples in canonical family order.
+# intersection closure, the section search (for top and for the star
+# generators) and the hyperplane generators replaced.  They return mask
+# tuples in canonical family order.
 
 
 def _canonical(masks):
@@ -347,6 +348,46 @@ def row_assignment_top_masks(left, right):
     return _canonical(keep)
 
 
+def feasible_column_star_generators(left, right):
+    """The star generators by the search the section search replaced: rows
+    range over the second factor's coatoms and universe, every node rebuilds
+    each partial column and keeps the branch while each can still reach an
+    allowed value, and each leaf checks its columns again."""
+    n1, n2 = left.universe_size, right.universe_size
+    row_options = _canonical(set(right.coatom_masks()) | {(1 << n2) - 1})
+    col_allowed = _canonical(set(left.coatom_masks()) | {(1 << n1) - 1})
+    full = (1 << (n1 * n2)) - 1
+    out, rows = [], []
+
+    def column(depth, j):
+        return sum((rows[i] >> j & 1) << i for i in range(depth))
+
+    def feasible_columns(depth):
+        # a partial column can still reach an allowed value v iff the bits
+        # already placed sit inside v and the missing bits of v lie in rows
+        # not yet assigned
+        remaining = ((1 << n1) - 1) >> depth << depth
+        return all(
+            any(p & ~v == 0 and v & ~(p | remaining) == 0 for v in col_allowed)
+            for p in (column(depth, j) for j in range(n2))
+        )
+
+    def rec(depth):
+        if depth == n1:
+            mask = sum(r << (i * n2) for i, r in enumerate(rows))
+            if mask != full and all(column(n1, j) in col_allowed for j in range(n2)):
+                out.append(mask)
+            return
+        for opt in row_options:
+            rows.append(opt)
+            if feasible_columns(depth + 1):
+                rec(depth + 1)
+            rows.pop()
+
+    rec(0)
+    return _canonical(out)
+
+
 def full_enumeration_down(m1, m2):
     """sigma_down of every tensor-model subspace, deduplicated, with the
     notes down_product reports."""
@@ -360,6 +401,24 @@ def full_enumeration_down(m1, m2):
         "collisions": len(images) - len(distinct),
     }
     return _canonical(distinct), notes
+
+
+# ---------------------------------------------------------------------------
+# The coatomistic test that the closure kernel replaced.
+
+
+def nested_is_coatomistic(space):
+    """Every member equals the intersection of the coatoms above it, by
+    intersecting each member's coatoms one at a time."""
+    coatoms, full = space.coatom_masks(), space.full_mask()
+    for m in space.masks:
+        acc = full
+        for c in coatoms:
+            if m & ~c == 0:
+                acc &= c
+        if acc != m:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

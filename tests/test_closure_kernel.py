@@ -1,7 +1,7 @@
 """The closure kernel and the cover relation of ExplicitSpace against the
-linear family scans they replaced (tests/helpers.py), and its coatoms against
-the pairwise oracle, on the L0 and L1 products and on two seeded atom
-relabellings of each."""
+linear family scans they replaced (tests/helpers.py), its coatoms against
+the pairwise oracle and is_coatomistic against the nested coatom scan, on
+the L0 and L1 products and on two seeded atom relabellings of each."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from helpers import (
     linear_dual_covering_violation,
     linear_upper_covers,
     naive_coatoms,
+    nested_is_coatomistic,
 )
 from qll.atomset import AtomSet
 from qll.closure import (
@@ -24,6 +25,7 @@ from qll.closure import (
     covers,
     find_covering_violation,
     find_dual_covering_violation,
+    is_coatomistic,
     upper_covers,
 )
 from qll.export import export_dot
@@ -104,6 +106,28 @@ def test_coatom_masks_match_naive_coatoms(name, seed):
     expected = naive_coatoms(family_as_sets(sp), range(sp.universe_size))
     assert {frozenset(AtomSet(sp.universe_size, m).members) for m in got} == expected
     assert list(got) == [m for m in sp.masks if m in set(got)]  # canonical order
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=IDS)
+def test_is_coatomistic_matches_nested_scan(name, seed):
+    sp = _space(name, seed)
+    assert is_coatomistic(sp) == nested_is_coatomistic(sp)
+
+
+NOT_COATOMISTIC = {
+    # the chain from test_star_needs_coatomistic_factors
+    "chain": lambda: ExplicitSpace(
+        AtomSet.from_members(3, s) for s in [[], [0], [1], [2], [0, 1], [0, 1, 2]]
+    ),
+    "top(mo3,mo3)": lambda: materialize_top_product(_base("mo3"), _base("mo3")).space,
+}
+
+
+@pytest.mark.parametrize("name", NOT_COATOMISTIC)
+def test_is_coatomistic_false_matches_nested_scan(name):
+    sp = NOT_COATOMISTIC[name]()
+    assert not nested_is_coatomistic(sp)
+    assert not is_coatomistic(sp)
 
 
 @pytest.mark.parametrize("name,seed", CASES, ids=IDS)

@@ -1,9 +1,11 @@
-"""The names perfbench/tracing.py wraps and hooks must exist in qll.
+"""The names perfbench/tracing.py wraps and hooks, and the span names
+perfbench/run.py reads its per-layer metrics from, must exist in qll.
 
 The tracer finds its targets by name: a hooked function that is renamed
-loses its counters without a word, and a renamed method or parameter fails
-only once `perfbench/run.py --trace 1` gets there.  The file is read as
-source, not imported.
+loses its counters without a word, a metric whose function is renamed or
+turned private reads 0, and a renamed method or parameter fails only once
+`perfbench/run.py --trace 1` gets there.  Both files are read as source,
+not imported.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import importlib
 import inspect
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+RUN = PERFBENCH / "run.py"
 
 
 def _tracing_module() -> ast.Module:
@@ -26,7 +30,7 @@ def _assigned(tree: ast.Module, name: str) -> ast.expr:
             isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return node.value
-    raise AssertionError(f"{name} not found in {TRACING}")
+    raise AssertionError(f"{name} not found")
 
 
 def _hooks(tree: ast.Module) -> dict[str, str]:
@@ -85,3 +89,68 @@ def test_hooks_read_the_expected_parameters():
         "closure.find_covering_violation": {"space"},
         "harness.verify": {"theorem_id"},
     }
+
+
+def _run_module() -> ast.Module:
+    return ast.parse(RUN.read_text())
+
+
+def _span_names_read(node: ast.AST, env: dict[str, str]) -> set[str]:
+    """The span names node reads through _self(...) or _calls(...).  An
+    f-string argument is evaluated with env, which binds the loop variable
+    of each enclosing comprehension over a literal tuple, given in place or
+    as a module constant of run.py."""
+    if isinstance(node, ast.DictComp):
+        (gen,) = node.generators
+        values = gen.iter
+        if isinstance(values, ast.Name):
+            values = _assigned(_run_module(), values.id)
+        return {
+            name
+            for value in ast.literal_eval(values)
+            for part in (node.key, node.value)
+            for name in _span_names_read(part, {**env, gen.target.id: value})
+        }
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("_self", "_calls")
+    ):
+        (arg,) = node.args
+        return {eval(compile(ast.Expression(arg), str(RUN), "eval"), {}, dict(env))}
+    return {
+        name
+        for child in ast.iter_child_nodes(node)
+        for name in _span_names_read(child, env)
+    }
+
+
+def _per_layer_span_names() -> set[str]:
+    return _span_names_read(_assigned(_run_module(), "PER_LAYER"), {})
+
+
+def test_per_layer_span_names_exist():
+    # a span name is a public function of a traced layer (the tracer wraps
+    # those by name) or a method span of tracing.METHODS
+    tree = _tracing_module()
+    layers = ast.literal_eval(_assigned(tree, "LAYERS"))
+    methods = {m[3] for m in ast.literal_eval(_assigned(tree, "METHODS"))}
+    for name in _per_layer_span_names() - methods:
+        layer, attr = name.split(".")
+        assert layer in layers, name
+        mod = importlib.import_module(f"qll.{layer}")
+        fn = getattr(mod, attr, None)
+        assert not attr.startswith("_"), name
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
+
+
+def test_per_layer_span_names_are_read():
+    # guards the AST reading above, comprehension included
+    names = _per_layer_span_names()
+    assert {
+        "closure.closure_mask",
+        "closure.is_coatomistic",
+        "products.materialize_top_product",
+        "products.star_generators",
+        "harness.resolve_base",
+    } <= names

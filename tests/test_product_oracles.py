@@ -1,7 +1,8 @@
 """The product constructors against the slow constructors they replaced
 (tests/helpers.py): the pairwise intersection closure for sep and star, the
-row-assignment enumeration for top and the full subspace enumeration for
-down, on the L0 and L1 factors."""
+row-assignment enumeration for top, the feasible-column search for the star
+generators and the full subspace enumeration for down, on the L0 and L1
+factors."""
 
 from __future__ import annotations
 
@@ -9,10 +10,13 @@ import pytest
 
 from helpers import (
     cross_masks,
+    feasible_column_star_generators,
     full_enumeration_down,
     pairwise_close_under_intersections,
     row_assignment_top_masks,
 )
+from qll.budgets import DEFAULT_BUDGETS
+from qll.errors import BudgetExceeded
 from qll.geometry import SubspaceModel
 from qll.harness import resolve_base
 from qll.products import (
@@ -50,6 +54,23 @@ def test_star_matches_pairwise_closure(a, b):
     gens = {g.mask for g in star_generators(left, right)}
     expected = pairwise_close_under_intersections(gens, _full(left, right))
     assert star_product(left, right).space.masks == expected
+
+
+STAR_PAIRS = FACTOR_PAIRS + [("boolean2", "mo2"), ("gf3_2", "gf3_2"), ("mo3", "mo3")]
+
+
+@pytest.mark.parametrize("a,b", STAR_PAIRS, ids=[f"{a},{b}" for a, b in STAR_PAIRS])
+def test_star_generators_match_feasible_column_search(a, b):
+    left, right = _factors(a, b)
+    got = [g.mask for g in star_generators(left, right)]
+    assert got == list(feasible_column_star_generators(left, right))
+
+
+def test_star_generators_node_cap():
+    left, right = _factors("mo2", "mo2")
+    with pytest.raises(BudgetExceeded) as exc:
+        star_generators(left, right, DEFAULT_BUDGETS.with_overrides(node_cap=5))
+    assert exc.value.budget_name == "node_cap"
 
 
 @pytest.mark.parametrize("a,b", FACTOR_PAIRS, ids=IDS)
