@@ -63,7 +63,6 @@ from .geometry import (
     linear_map_coatom,
     mo_lattice,
     orthogonal_complement,
-    product_atom_table,
     sigma_down,
     similitude_group,
     tensor_model,

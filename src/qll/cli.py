@@ -21,8 +21,8 @@ from .harness import (
     ResolvedInstance,
     list_instances,
     list_theorems,
-    resolve_base,
     resolve_instance,
+    sep_cross_ortho,
     verify,
 )
 from .ortho import (
@@ -72,19 +72,11 @@ def _instance_ortho(inst: ResolvedInstance, budgets: Budgets):
     """An orthocomplementation candidate for omod checks: the instance's own
     atom orthogonality, or the cross relation on a sep product of
     orthocomplemented factors."""
-    from .harness import pair_relation
-
     if inst.relation is not None:
         return ortho_from_atom_orthogonality(inst.space, inst.relation)
     if inst.product is not None and inst.product.kind == "sep":
         if inst.left.relation is not None and inst.right.relation is not None:
-            rel = pair_relation(
-                inst.product.grid.n1,
-                inst.product.grid.n2,
-                inst.left.relation,
-                inst.right.relation,
-            )
-            return ortho_from_atom_orthogonality(inst.space, rel)
+            return sep_cross_ortho(inst.product, inst.left.relation, inst.right.relation)
     return None
 
 

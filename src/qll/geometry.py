@@ -243,18 +243,6 @@ def tensor_model(m1: SubspaceModel, m2: SubspaceModel) -> SubspaceModel:
     return model
 
 
-def product_atom_table(m1: SubspaceModel, m2: SubspaceModel) -> tuple[int, ...]:
-    """For each factor atom pair (i1, i2), the tensor-model atom index of
-    v1 ⊗ v2.  Pair index is i1 * |atoms2| + i2.  The map is injective: its
-    image is exactly the set of product (rank-one) atoms."""
-    t = tensor_model(m1, m2)
-    out = []
-    for v1 in m1.atom_table:
-        for v2 in m2.atom_table:
-            out.append(t.index_of(kron_vec(v1, v2, t.q)))
-    return tuple(out)
-
-
 def sigma_down(v: Subspace) -> AtomSet:
     """Factor atom pairs (p1, p2) whose product vector lies in v.
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .atomset import AtomSet, bit_members
+from .atomset import bit_members
 from .automorphisms import automorphism_chain, decompose_automorphism
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
@@ -41,6 +41,7 @@ from .geometry import (
 )
 from .gf import kron_vec, projective_points, vec_add
 from .ortho import (
+    OrthoConstruction,
     OrthogonalityRelation,
     find_orthocomplementations,
     find_orthomodularity_violation,
@@ -284,10 +285,12 @@ def _check(name: str, passed: bool, **details) -> CheckResult:
 # ---------------------------------------------------------------------------
 # pipelines
 
-# A pipeline appends its checks to the list verify passes in, so the checks
-# finished before a budget overrun survive into the report, and returns
-# (certificates, artifacts, instance names).
-PipelineResult = tuple[dict, dict, tuple[str, ...]]
+# A pipeline receives the resolved factors and appends its checks to the list
+# verify passes in, so the checks finished before a budget overrun survive
+# into the report.  It checks every precondition before it builds a product,
+# builds each product through build_product, and returns its certificates and
+# the products the report embeds, in order.
+PipelineResult = tuple[dict, tuple[ProductInstance, ...]]
 
 
 def pair_relation(
@@ -308,10 +311,24 @@ def pair_relation(
     return OrthogonalityRelation.from_pairs(size, pairs)
 
 
+def sep_cross_ortho(
+    sep: ProductInstance, rel1: OrthogonalityRelation, rel2: OrthogonalityRelation
+) -> OrthoConstruction:
+    """The orthocomplementation the cross relation (pair_relation of the
+    factor orthogonalities) induces on a sep product, or why it fails."""
+    rel = pair_relation(sep.grid.n1, sep.grid.n2, rel1, rel2)
+    return ortho_from_atom_orthogonality(sep.space, rel)
+
+
 def _require_relation(inst: NamedInstance) -> OrthogonalityRelation:
     if inst.relation is None:
         raise InputError(f"instance {inst.name!r} carries no atom orthogonality")
     return inst.relation
+
+
+def _require_models(left: NamedInstance, right: NamedInstance) -> None:
+    if left.model is None or right.model is None:
+        raise InputError("this claim needs finite-field factors")
 
 
 def _search_summary(res) -> dict:
@@ -321,36 +338,35 @@ def _search_summary(res) -> dict:
     return out
 
 
+def _witness_check(
+    checks: list[CheckResult],
+    certs: dict,
+    name: str,
+    found,
+    expected: bool,
+    cert: str | None = None,
+) -> None:
+    """Check that a witness search found one (expected) or none (not
+    expected); the witness goes into the check and, if cert names a key,
+    into the certificates."""
+    witness = None if found is None else found.to_json()
+    checks.append(_check(name, (found is not None) == expected, witness=witness))
+    if cert is not None and witness is not None:
+        certs[cert] = witness
+
+
 def _pipeline_only_bottom_has_ortho(
-    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
+    left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
-    left = resolve_base(lname, budgets)
-    right = resolve_base(rname, budgets)
     rel1 = _require_relation(left)
     rel2 = _require_relation(right)
     certs: dict = {}
-    artifacts: dict = {}
 
-    sep = sep_product(left.space, right.space, budgets)
-    pair_rel = pair_relation(
-        sep.grid.n1, sep.grid.n2, rel1, rel2
-    )
-    cons = ortho_from_atom_orthogonality(sep.space, pair_rel)
-    checks.append(
-        _check(
-            "sep_cross_relation_is_ortho",
-            cons.ok,
-            failure=cons.failure,
-        )
-    )
+    sep = build_product("sep", left, right, budgets)
+    cons = sep_cross_ortho(sep, rel1, rel2)
+    checks.append(_check("sep_cross_relation_is_ortho", cons.ok, failure=cons.failure))
     search = find_orthocomplementations(sep.space, budgets=budgets)
-    checks.append(
-        _check(
-            "sep_admits_ortho",
-            search.exhaustive and len(search.maps) > 0,
-            **_search_summary(search),
-        )
-    )
+    checks.append(_check("sep_admits_ortho", bool(search.maps), **_search_summary(search)))
     if cons.ok:
         checks.append(
             _check(
@@ -361,124 +377,60 @@ def _pipeline_only_bottom_has_ortho(
         certs["sep_cross_ortho"] = cons.ortho.to_json()
     certs["sep_search"] = _search_summary(search)
 
-    top = materialize_top_product(left.space, right.space, budgets)
-    top_search = find_orthocomplementations(top.space, budgets=budgets)
-    checks.append(
-        _check(
-            "top_admits_none",
-            top_search.exhaustive and not top_search.maps,
-            **_search_summary(top_search),
-        )
-    )
-    certs["top_search"] = _search_summary(top_search)
-
-    star = star_product(left.space, right.space, budgets)
-    star_search = find_orthocomplementations(star.space, budgets=budgets)
-    checks.append(
-        _check(
-            "star_admits_none",
-            star_search.exhaustive and not star_search.maps,
-            **_search_summary(star_search),
-        )
-    )
-    certs["star_search"] = _search_summary(star_search)
-
-    names = [f"sep({lname},{rname})", f"top({lname},{rname})", f"star({lname},{rname})"]
-    artifacts[names[0]] = sep.to_json()
-    artifacts[names[1]] = top.to_json()
-    artifacts[names[2]] = star.to_json()
-
+    products = [sep]
+    kinds = ["top", "star"]
     if left.model is not None and right.model is not None:
-        down = down_product(left.model, right.model, budgets)
-        down_search = find_orthocomplementations(down.space, budgets=budgets)
+        kinds.append("down")
+    for kind in kinds:
+        inst = build_product(kind, left, right, budgets)
+        search = find_orthocomplementations(inst.space, budgets=budgets)
         checks.append(
-            _check(
-                "down_admits_none",
-                down_search.exhaustive and not down_search.maps,
-                **_search_summary(down_search),
-            )
+            _check(f"{kind}_admits_none", not search.maps, **_search_summary(search))
         )
-        certs["down_search"] = _search_summary(down_search)
-        names.append(f"down({lname},{rname})")
-        artifacts[names[-1]] = down.to_json()
-
-    return certs, artifacts, tuple(names)
+        certs[f"{kind}_search"] = _search_summary(search)
+        products.append(inst)
+    return certs, tuple(products)
 
 
 def _pipeline_bottom_not_orthomodular(
-    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
+    left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
-    left = resolve_base(lname, budgets)
-    right = resolve_base(rname, budgets)
     if left.boolean or right.boolean:
         raise InputError("this claim is about non-powerset factors")
     rel1 = _require_relation(left)
     rel2 = _require_relation(right)
     certs: dict = {}
 
-    sep = sep_product(left.space, right.space, budgets)
-    pair_rel = pair_relation(sep.grid.n1, sep.grid.n2, rel1, rel2)
-    cons = ortho_from_atom_orthogonality(sep.space, pair_rel)
+    sep = build_product("sep", left, right, budgets)
+    cons = sep_cross_ortho(sep, rel1, rel2)
     checks.append(_check("cross_relation_is_ortho", cons.ok, failure=cons.failure))
-
     if cons.ok:
         certs["ortho"] = cons.ortho.to_json()
         viol = find_orthomodularity_violation(sep.space, cons.ortho)
-        checks.append(
-            _check(
-                "orthomodularity_fails",
-                viol is not None,
-                witness=None if viol is None else viol.to_json(),
-            )
+        _witness_check(
+            checks, certs, "orthomodularity_fails", viol, True, "orthomodularity_witness"
         )
-        if viol is not None:
-            certs["orthomodularity_witness"] = viol.to_json()
     cov = find_covering_violation(sep.space)
-    checks.append(
-        _check(
-            "covering_fails",
-            cov is not None,
-            witness=None if cov is None else cov.to_json(),
-        )
-    )
-    if cov is not None:
-        certs["covering_witness"] = cov.to_json()
-
-    name = f"sep({lname},{rname})"
-    return certs, {name: sep.to_json()}, (name,)
+    _witness_check(checks, certs, "covering_fails", cov, True, "covering_witness")
+    return certs, (sep,)
 
 
 def _pipeline_top_lacks_covering(
-    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
+    left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
-    left = resolve_base(lname, budgets)
-    right = resolve_base(rname, budgets)
     certs: dict = {}
-
     checks.append(_check("four_atom_condition_left", four_atom_condition(left.space)))
     checks.append(_check("four_atom_condition_right", four_atom_condition(right.space)))
 
-    top = materialize_top_product(left.space, right.space, budgets)
+    top = build_product("top", left, right, budgets)
     cov = find_covering_violation(top.space)
-    checks.append(
-        _check(
-            "top_covering_fails",
-            cov is not None,
-            witness=None if cov is None else cov.to_json(),
-        )
-    )
-    if cov is not None:
-        certs["covering_witness"] = cov.to_json()
-
-    name = f"top({lname},{rname})"
-    return certs, {name: top.to_json()}, (name,)
+    _witness_check(checks, certs, "top_covering_fails", cov, True, "covering_witness")
+    return certs, (top,)
 
 
 def _pipeline_bottom_equals_top_iff_boolean(
-    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
+    left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
-    left = resolve_base(lname, budgets)
-    right = resolve_base(rname, budgets)
     certs: dict = {}
 
     # hypothesis: every non-powerset factor has two atoms whose join contains
@@ -487,8 +439,8 @@ def _pipeline_bottom_equals_top_iff_boolean(
         ok = inst.boolean or third_atom_condition(inst.space)
         checks.append(_check(f"hypothesis_{side}", ok, boolean=inst.boolean))
 
-    sep = sep_product(left.space, right.space, budgets)
-    top = materialize_top_product(left.space, right.space, budgets)
+    sep = build_product("sep", left, right, budgets)
+    top = build_product("top", left, right, budgets)
     equal = sep.space == top.space
     expected = left.boolean or right.boolean
     checks.append(
@@ -519,17 +471,13 @@ def _pipeline_bottom_equals_top_iff_boolean(
         )
         certs["bijection_graph"] = [list(sep.grid.unindex(k)) for k in bit_members(graph)]
 
-    names = (f"sep({lname},{rname})", f"top({lname},{rname})")
-    return certs, {names[0]: sep.to_json(), names[1]: top.to_json()}, names
+    return certs, (sep, top)
 
 
 def _pipeline_automorphisms_decompose(
-    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
+    left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
-    left = resolve_base(lname, budgets)
-    right = resolve_base(rname, budgets)
     certs: dict = {}
-    artifacts: dict = {}
 
     # precondition, not a claim: each factor needs two atoms whose join holds
     # a third atom and covers all three; for factors outside this hypothesis
@@ -547,12 +495,10 @@ def _pipeline_automorphisms_decompose(
     certs["factor_group_orders"] = {"left": order_l, "right": order_r}
     same_factors = left.space == right.space
 
-    names = []
+    products = []
     for kind in ("sep", "star"):
         inst = build_product(kind, left, right, budgets)
-        name = f"{kind}({lname},{rname})"
-        names.append(name)
-        artifacts[name] = inst.to_json()
+        products.append(inst)
 
         # the maps that split into a factor pair, swapped or not, form a
         # subgroup, so the group decomposes iff every generator does
@@ -594,19 +540,16 @@ def _pipeline_automorphisms_decompose(
             )
         certs[f"{kind}_group_order"] = order
 
-    return certs, artifacts, tuple(names)
+    return certs, tuple(products)
 
 
 def _pipeline_down_properties(
-    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
+    left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
-    left = resolve_base(lname, budgets)
-    right = resolve_base(rname, budgets)
-    if left.model is None or right.model is None:
-        raise InputError("this claim needs finite-field factors")
+    _require_models(left, right)
     certs: dict = {}
 
-    down = down_product(left.model, right.model, budgets)
+    down = build_product("down", left, right, budgets)
     certs["notes"] = dict(down.notes)
 
     axioms = check_p123(down)
@@ -656,24 +599,14 @@ def _pipeline_down_properties(
     checks.append(_check("atomistic", atomistic))
     checks.append(_check("coatomistic", coatomistic))
     cov = find_covering_violation(down.space)
-    checks.append(
-        _check(
-            "covering_holds", cov is None, witness=None if cov is None else cov.to_json()
-        )
-    )
+    _witness_check(checks, certs, "covering_holds", cov, False)
     dual = find_dual_covering_violation(down.space)
-    checks.append(
-        _check(
-            "dual_covering_fails",
-            dual is not None,
-            witness=None if dual is None else dual.to_json(),
-        )
+    _witness_check(
+        checks, certs, "dual_covering_fails", dual, True, "dual_covering_witness"
     )
     # is_dac from the four results above, not computed again
     dac = atomistic and coatomistic and cov is None and dual is None
     checks.append(_check("not_dac", not dac))
-    if dual is not None:
-        certs["dual_covering_witness"] = dual.to_json()
 
     n1, n2 = down.grid.n1, down.grid.n2
     q = left.model.q
@@ -709,9 +642,7 @@ def _pipeline_down_properties(
     checks.append(
         _check(
             "no_orthocomplementation",
-            search.exhaustive
-            and not search.maps
-            and search.certificate is not None,
+            not search.maps and search.certificate is not None,
             **_search_summary(search),
         )
     )
@@ -733,18 +664,13 @@ def _pipeline_down_properties(
             atoms=down.space.universe_size,
         )
     )
-
-    name = f"down({lname},{rname})"
-    return certs, {name: down.to_json()}, (name,)
+    return certs, (down,)
 
 
 def _pipeline_entangling_graph(
-    lname: str, rname: str, budgets: Budgets, checks: list[CheckResult]
+    left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
-    left = resolve_base(lname, budgets)
-    right = resolve_base(rname, budgets)
-    if left.model is None or right.model is None:
-        raise InputError("this claim needs finite-field factors")
+    _require_models(left, right)
     if left.model.n < 2 or right.model.n < 2:
         raise InputError("factors need dimension at least 2")
     certs: dict = {}
@@ -759,7 +685,7 @@ def _pipeline_entangling_graph(
     line = Subspace.span(tm, [vec])
     graph = sigma_down(orthogonal_complement(line))
 
-    down = down_product(left.model, right.model, budgets)
+    down = build_product("down", left, right, budgets)
     grid = down.grid
     pairs = [list(grid.unindex(k)) for k in graph.members]
     labeled = [
@@ -780,13 +706,13 @@ def _pipeline_entangling_graph(
         )
 
     checks.append(_check("graph_in_down", down.space.contains_mask(graph.mask)))
+    # membership in top needs only the section test, so top stays implicit
+    # here: materialized, it outgrows family_cap on gf7_2 factors
     top = top_product(down.left, down.right)
     checks.append(_check("graph_in_top", top.space.contains_mask(graph.mask)))
-    sep = sep_product(down.left, down.right, budgets)
+    sep = build_product("sep", left, right, budgets)
     checks.append(_check("graph_not_in_sep", not sep.space.contains_mask(graph.mask)))
-
-    name = f"down({lname},{rname})"
-    return certs, {name: down.to_json()}, (name,)
+    return certs, (down,)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +724,9 @@ class ClaimSpec:
     claim: str
     default_left: str
     default_right: str
-    pipeline: Callable[[str, str, Budgets, list[CheckResult]], PipelineResult]
+    pipeline: Callable[
+        [NamedInstance, NamedInstance, Budgets, list[CheckResult]], PipelineResult
+    ]
     analog: bool = False
 
 
@@ -877,29 +805,26 @@ def verify(
     start = time.perf_counter()
     checks: list[CheckResult] = []
     try:
-        certs, artifacts, names = spec.pipeline(lname, rname, budgets, checks)
+        factors = (resolve_base(lname, budgets), resolve_base(rname, budgets))
+        certs, products = spec.pipeline(*factors, budgets, checks)
     except BudgetExceeded as exc:
-        return TheoremReport(
-            theorem=theorem_id,
-            claim=spec.claim,
-            instances=(lname, rname),
-            verdict=VERDICT_BUDGET,
-            checks=tuple(checks),
-            certificates={"budget": exc.budget_name, "cap": exc.cap},
-            artifacts={},
-            elapsed_seconds=time.perf_counter() - start,
-            budgets=budgets,
-        )
-    if all(c.passed for c in checks):
-        verdict = VERDICT_VERIFIED
-    elif spec.analog:
-        verdict = VERDICT_DIVERGENCE
+        verdict = VERDICT_BUDGET
+        certs = {"budget": exc.budget_name, "cap": exc.cap}
+        artifacts: dict = {}
+        instances: tuple[str, ...] = (lname, rname)
     else:
-        verdict = VERDICT_FALSIFIED
+        artifacts = {f"{p.kind}({lname},{rname})": p.to_json() for p in products}
+        instances = tuple(artifacts)
+        if all(c.passed for c in checks):
+            verdict = VERDICT_VERIFIED
+        elif spec.analog:
+            verdict = VERDICT_DIVERGENCE
+        else:
+            verdict = VERDICT_FALSIFIED
     return TheoremReport(
         theorem=theorem_id,
         claim=spec.claim,
-        instances=names,
+        instances=instances,
         verdict=verdict,
         checks=tuple(checks),
         certificates=certs,

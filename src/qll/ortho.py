@@ -194,9 +194,10 @@ def verify_orthocomplementation(
 class OrthoSearchResult:
     """Outcome of an exhaustive orthocomplementation search.
 
-    exhaustive is False only when an explicit result limit stopped the
-    enumeration early; a budget overrun raises instead.  certificate records
-    a counting proof when one settles the question without search.
+    Every returned search ran to completion (a budget overrun raises), so
+    exhaustive is always True; it stays for the reports that state it.
+    certificate records a counting proof when one settles the question
+    without search.
     """
 
     maps: tuple[OrthoMap, ...]
@@ -217,16 +218,13 @@ class OrthoSearchResult:
 
 
 def find_orthocomplementations(
-    space: ClosureSpace,
-    limit: int | None = None,
-    budgets: Budgets = DEFAULT_BUDGETS,
+    space: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
 ) -> OrthoSearchResult:
     """Enumerate every orthocomplementation of an explicit space.
 
-    Returns all verified maps in a deterministic order.  An empty result with
-    exhaustive=True is a proof there are none (via the counting certificate
-    or via completed search).  Hitting the node budget raises
-    BudgetExceeded.
+    Returns all verified maps in a deterministic order.  An empty result is a
+    proof there are none (via the counting certificate or via completed
+    search).  Hitting the node budget raises BudgetExceeded.
     """
     sp = _require_explicit(space, "find_orthocomplementations")
     n = sp.universe_size
@@ -256,21 +254,16 @@ def find_orthocomplementations(
     image = [-1] * n
     found: list[OrthoMap] = []
     nodes = 0
-    truncated = False
 
-    def assign(pos: int, allowed: list[int]) -> bool:
-        """Returns False when a result limit stops the search."""
-        nonlocal nodes, truncated
+    def assign(pos: int, allowed: list[int]) -> None:
+        nonlocal nodes
         if pos == n:
             candidate = OrthoMap(
                 sp, tuple(AtomSet(n, cms[image[p]]) for p in range(n))
             )
             if verify_orthocomplementation(sp, candidate).ok:
                 found.append(candidate)
-                if limit is not None and len(found) >= limit:
-                    truncated = True
-                    return False
-            return True
+            return
         p = order[pos]
         options = allowed[p]
         while options:
@@ -298,16 +291,13 @@ def find_orthocomplementations(
                 if nxt[q] == 0 and image[q] < 0:
                     ok = False
                     break
-            if ok and not assign(pos + 1, nxt):
-                return False
+            if ok:
+                assign(pos + 1, nxt)
             image[p] = -1
-        return True
 
-    completed = assign(0, initial)
+    assign(0, initial)
     found.sort(key=lambda om: om.image_masks())
-    return OrthoSearchResult(
-        tuple(found), exhaustive=completed and not truncated, nodes=nodes
-    )
+    return OrthoSearchResult(tuple(found), exhaustive=True, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -400,49 +390,38 @@ def is_orthomodular(space: ClosureSpace, ortho: OrthoMap) -> bool:
 # atom-configuration conditions used as theorem hypotheses
 
 
-def third_atom_condition(space: ClosureSpace) -> bool:
-    """Two atoms p, q whose join contains a third atom r and covers all of
-    p, q, r."""
-    sp = _require_explicit(space, "third_atom_condition")
-    n = sp.universe_size
-    for p in range(n):
-        for q in range(p + 1, n):
-            j = sp.closure_mask((1 << p) | (1 << q))
-            others = j & ~(1 << p) & ~(1 << q)
-            if not others:
+def _pair_join_covers(space: ClosureSpace, caller: str, others: int) -> bool:
+    """Two atoms p < q whose join covers p, q and at least `others` further
+    atoms."""
+    sp = _require_explicit(space, caller)
+    for p in range(sp.universe_size):
+        for q in range(p + 1, sp.universe_size):
+            pq = (1 << p) | (1 << q)
+            j = sp.closure_mask(pq)
+            rest = j & ~pq
+            if rest.bit_count() < others:
                 continue
-            ja = AtomSet(n, j)
-            if not covers_atom(sp, p, ja) or not covers_atom(sp, q, ja):
+            if not covers_atom(sp, p, j) or not covers_atom(sp, q, j):
                 continue
-            for r in bit_members(others):
-                if covers_atom(sp, r, ja):
-                    return True
-    return False
-
-
-def four_atom_condition(space: ClosureSpace) -> bool:
-    """Four distinct atoms p, q, r, s with p ∨ q covering every one of them."""
-    sp = _require_explicit(space, "four_atom_condition")
-    n = sp.universe_size
-    for p in range(n):
-        for q in range(p + 1, n):
-            j = sp.closure_mask((1 << p) | (1 << q))
-            ja = AtomSet(n, j)
-            if not covers_atom(sp, p, ja) or not covers_atom(sp, q, ja):
-                continue
-            others = [
-                r
-                for r in bit_members(j & ~(1 << p) & ~(1 << q))
-                if covers_atom(sp, r, ja)
-            ]
-            if len(others) >= 2:
+            if sum(covers_atom(sp, r, j) for r in bit_members(rest)) >= others:
                 return True
     return False
 
 
-def covers_atom(space: ExplicitSpace, atom: int, upper: AtomSet) -> bool:
-    """True iff upper covers the singleton {atom}."""
-    return upper.mask in space.upper_cover_masks(1 << atom)
+def third_atom_condition(space: ClosureSpace) -> bool:
+    """Two atoms p, q whose join contains a third atom r and covers all of
+    p, q, r."""
+    return _pair_join_covers(space, "third_atom_condition", 1)
+
+
+def four_atom_condition(space: ClosureSpace) -> bool:
+    """Four distinct atoms p, q, r, s with p ∨ q covering every one of them."""
+    return _pair_join_covers(space, "four_atom_condition", 2)
+
+
+def covers_atom(space: ExplicitSpace, atom: int, upper: int) -> bool:
+    """True iff the closed set with mask upper covers the singleton {atom}."""
+    return upper in space.upper_cover_masks(1 << atom)
 
 
 def cal0sym_condition(space: ClosureSpace) -> bool:

@@ -76,6 +76,101 @@ def test_verify_rejects_bad_factors():
         verify("thm10.4", "mo2", "mo2")
     with pytest.raises(InputError):
         verify("thm7.5", "boolean2", "boolean2")
+    # gf3_tensor carries no atom orthogonality; both claims must refuse it
+    # before they build a product
+    for tid in ("thm8.6", "thm9.1"):
+        with pytest.raises(InputError):
+            verify(tid, "gf3_tensor", "mo2")
+
+
+_SEP_TOP_STAR = ["sep_cross_relation_is_ortho", "sep_admits_ortho",
+                 "cross_map_found_by_search", "top_admits_none", "star_admits_none"]
+_SEP_TOP_STAR_CERTS = ["sep_cross_ortho", "sep_search", "top_search", "star_search"]
+
+# (claim, left, right, node_cap) -> (check names, certificate keys, instances),
+# each in report order
+REPORT_CONTRACT = {
+    ("thm8.6", None, None, None): (
+        _SEP_TOP_STAR,
+        _SEP_TOP_STAR_CERTS,
+        ["sep(mo2,mo2)", "top(mo2,mo2)", "star(mo2,mo2)"],
+    ),
+    ("thm9.1", None, None, None): (
+        ["cross_relation_is_ortho", "orthomodularity_fails", "covering_fails"],
+        ["ortho", "orthomodularity_witness", "covering_witness"],
+        ["sep(mo2,mo2)"],
+    ),
+    ("thm9.4", None, None, None): (
+        ["four_atom_condition_left", "four_atom_condition_right", "top_covering_fails"],
+        ["covering_witness"],
+        ["top(mo2,mo2)"],
+    ),
+    ("thm5.x", None, None, None): (
+        ["hypothesis_left", "hypothesis_right", "bottom_equals_top_iff_boolean_factor",
+         "bijection_graph_separates"],
+        ["bijection_graph"],
+        ["sep(mo2,mo2)", "top(mo2,mo2)"],
+    ),
+    ("thm7.5", None, None, None): (
+        ["hypothesis_third_atom_left", "hypothesis_third_atom_right"]
+        + [f"{kind}_{check}" for kind in ("sep", "star")
+           for check in ("all_decompose", "roundtrip", "triples_distinct",
+                         "order_is_twice_factor_product")],
+        ["factor_group_orders", "sep_group_order", "star_group_order"],
+        ["sep(mo2,mo2)", "star(mo2,mo2)"],
+    ),
+    ("thm10.4", None, None, None): (
+        ["axiom_p1", "axiom_p2", "axiom_p3", "axiom_p4_similitude_pairs",
+         "axiom_p4_full_aut_fails", "atomistic", "coatomistic", "covering_holds",
+         "dual_covering_fails", "not_dac", "coatom_count_is_projective_map_count",
+         "coatoms_are_linear_map_duals", "no_orthocomplementation",
+         "strictly_between_bottom_and_top", "atom_count_is_pair_count"],
+        ["notes", "dual_covering_witness", "ortho_search"],
+        ["down(gf3_2,gf3_2)"],
+    ),
+    ("cnot", None, None, None): (
+        ["graph_matches_expected_pairs", "graph_in_down", "graph_in_top",
+         "graph_not_in_sep"],
+        ["graph_pairs", "graph_labels"],
+        ["down(gf3_2,gf3_2)"],
+    ),
+    # finite-field factors add the down product to thm8.6
+    ("thm8.6", "gf3_2", "gf3_2", None): (
+        _SEP_TOP_STAR + ["down_admits_none"],
+        _SEP_TOP_STAR_CERTS + ["down_search"],
+        ["sep(gf3_2,gf3_2)", "top(gf3_2,gf3_2)", "star(gf3_2,gf3_2)",
+         "down(gf3_2,gf3_2)"],
+    ),
+    # falsified: the report keeps the same shape
+    ("thm8.6", "mo2", "mo3", None): (
+        _SEP_TOP_STAR,
+        _SEP_TOP_STAR_CERTS,
+        ["sep(mo2,mo3)", "top(mo2,mo3)", "star(mo2,mo3)"],
+    ),
+    # budget: the finished checks, the budget certificate, the factor names
+    ("thm8.6", None, None, 3): (
+        ["sep_cross_relation_is_ortho"],
+        ["budget", "cap"],
+        ["mo2", "mo2"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(REPORT_CONTRACT), ids=lambda c: "-".join(map(str, c))
+)
+def test_report_contract(case):
+    tid, left, right, node_cap = case
+    budgets = DEFAULT_BUDGETS
+    if node_cap is not None:
+        budgets = budgets.with_overrides(node_cap=node_cap)
+    data = verify(tid, left, right, budgets).to_json()
+    checks, certs, instances = REPORT_CONTRACT[case]
+    assert [c["name"] for c in data["checks"]] == checks
+    assert list(data["certificates"]) == certs
+    assert data["instances"] == instances
+    # every product a report names is embedded, in the same order
+    assert list(data["artifacts"]) == ([] if node_cap is not None else instances)
 
 
 @pytest.mark.parametrize(

@@ -130,12 +130,6 @@ def test_search_node_budget(sep_mm):
         )
 
 
-def test_search_limit_stops_early(sep_mm):
-    res = find_orthocomplementations(sep_mm.space, limit=2)
-    assert len(res.maps) == 2
-    assert not res.exhaustive
-
-
 def test_construction_failure_is_a_result(mo2):
     rel = OrthogonalityRelation.from_pairs(4, [(0, 1), (0, 2)])
     cons = ortho_from_atom_orthogonality(mo2.space, rel)
@@ -180,6 +174,16 @@ def test_atom_conditions_frozen_values(mo2):
     assert third_atom_condition(mo3_space)
     assert four_atom_condition(mo3_space)
     assert cal0sym_condition(mo3_space)
+
+
+def test_third_atom_without_four_atoms():
+    # {0,1,2} is the join of any two of its atoms and covers all three;
+    # atom 3 joins anything to the full set, which does not cover the
+    # singletons below {0,1,2}, so no join covers a fourth atom
+    family = [set(), *({i} for i in range(4)), {0, 1, 2}, {0, 1, 2, 3}]
+    space = ExplicitSpace(AtomSet.from_members(4, m) for m in family)
+    assert third_atom_condition(space)
+    assert not four_atom_condition(space)
 
 
 def test_ortho_map_json_roundtrip(mo2):

@@ -1,4 +1,4 @@
-"""Smoke test of scripts/run_all_theorems.py, run as a user runs it."""
+"""Smoke tests of the scripts under scripts/, run as a user runs them."""
 
 from __future__ import annotations
 
@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_all_theorems.py"
+from qll.export import count_dot_elements
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "run_all_theorems.py"
 
 
 def test_run_all_theorems(tmp_path):
@@ -25,3 +28,23 @@ def test_run_all_theorems(tmp_path):
     assert all("verified" in line for line in lines if line is not thm104)
     # the worst exit code among the reports: thm10.4's analog divergence
     assert proc.returncode == 1
+
+
+def test_export_diagrams(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "export_diagrams.py"), "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the default list: the four factor spaces and sep(mo2,mo2)
+    expected = {"mo2": 6, "mo3": 8, "boolean3": 8, "gf3_2": 6, "sep_mo2_mo2_": 114}
+    nodes = {
+        path.stem: count_dot_elements(path.read_text())[0]
+        for path in tmp_path.glob("*.dot")
+    }
+    assert nodes == expected
+    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == [
+        "mo2", "mo3", "boolean3", "gf3_2", "sep(mo2,mo2)"
+    ]
