@@ -109,6 +109,17 @@ def validate_simple_closure_space(family: Iterable[AtomSet]) -> ValidationReport
 # spaces
 
 
+def _transpose(masks: tuple[int, ...], universe_size: int) -> tuple[int, ...]:
+    """For every atom p, the bitset over indices i of the masks holding p."""
+    size = len(masks)
+    # one '0'/'1' digit string per atom, index i at digit size-1-i
+    cols = [bytearray(b"0" * size) for _ in range(universe_size)]
+    for i, m in enumerate(masks):
+        for p in bit_members(m):
+            cols[p][size - 1 - i] = ord("1")
+    return tuple(int(c, 2) if size else 0 for c in cols)
+
+
 class ClosureSpace:
     """Interface shared by both backends."""
 
@@ -165,6 +176,9 @@ class ExplicitSpace(ClosureSpace):
     The constructor deduplicates and sorts into canonical order but does not
     validate the axioms; call validate_simple_closure_space (or construct via
     space_from_json, which does) when the family is of unknown provenance.
+    Closure reads the first closed superset in canonical order, and the cover
+    relation is built on it, so both assume the family is closed under
+    intersection.
     """
 
     def __init__(
@@ -213,60 +227,78 @@ class ExplicitSpace(ClosureSpace):
         return mask in self._mask_set
 
     def closure_mask(self, mask: int) -> int:
-        """Intersection of all closed supersets (the universe if none other).
+        """Smallest closed superset of mask (the universe if there is none).
 
         Works on the transposed context: extent[p] is a bitset over family
-        indices marking the closed sets that contain atom p.  The closed
-        supersets of mask are the indices in the AND of extent[p] over the
-        atoms of mask, and their intersection is every atom q whose extent
-        holds all of those indices.  The index is built on the first call
-        that needs it, so spaces that are only constructed never pay for it.
+        indices marking the closed sets that contain atom p, so extent_of
+        marks the closed supersets of mask.  In a family closed under
+        intersection their intersection is one of them, the smallest, and
+        canonical order (cardinality first) puts it first: the closure is
+        the member at the lowest set bit.  In a family that is not closed
+        under intersection this lookup answers wrongly, as the cover relation
+        does.  The index is built on the first call that needs it, so spaces
+        that are only constructed never pay for it.
         """
         if mask in self._mask_set:
             return mask
+        idx = self.extent_of(mask)
+        if not idx:
+            return self.full_mask()
+        return self._masks[(idx & -idx).bit_length() - 1]
+
+    def extent_of(self, mask: int) -> int:
+        """Bitset over family indices of the closed supersets of mask: the
+        AND of extent[p] over the atoms p of mask."""
         extent = self._extent or self.atom_extents()
         idx = (1 << len(self._masks)) - 1
         for p in bit_members(mask):
             idx &= extent[p]
-        out = 0
-        for q, e in enumerate(extent):
-            if e & idx == idx:
-                out |= 1 << q
-        return out
+        return idx
 
     def atom_extents(self) -> tuple[int, ...]:
         """extent[p] for every atom p: the closure kernel's index, built once."""
         if self._extent is None:
-            self._extent = self._build_extent()
+            self._extent = _transpose(self._masks, self.universe_size)
         return self._extent
-
-    def _build_extent(self) -> tuple[int, ...]:
-        size = len(self._masks)
-        # one '0'/'1' digit string per atom, family index i at digit size-1-i
-        cols = [bytearray(b"0" * size) for _ in range(self.universe_size)]
-        for i, m in enumerate(self._masks):
-            for p in bit_members(m):
-                cols[p][size - 1 - i] = ord("1")
-        return tuple(int(c, 2) for c in cols)
 
     def upper_cover_masks(self, lo: int) -> tuple[int, ...]:
         """Upper covers of lo in canonical order, memoised per lo.
 
         Every closed set strictly above lo contains cl(lo ∪ {p}) for some
         atom p outside lo, so the upper covers are the minimal sets among
-        those closures.  lo ⋖ hi iff hi is in the result.  This assumes the
-        family is closed under intersection, so that each cl(lo ∪ {p}) is a
-        member; every product and space_from_json guarantee that.
+        those closures.  Each is one AND of extent_of(lo) with extent[p] and
+        a lowest-bit lookup, and the family indices found, in ascending
+        order, list the candidates in canonical order.  A smaller candidate
+        comes first, so a candidate is minimal iff it contains no cover found
+        before it.  lo ⋖ hi iff hi is in the result.
+
+        This assumes the family is closed under intersection, as closure
+        does; every product and space_from_json guarantee that.  Two distinct
+        upper covers of lo then meet in lo, and a pair that does not raises
+        ContractViolation.
         """
         ups = self._upper_covers.get(lo)
         if ups is None:
-            cands = {
-                self.closure_mask(lo | 1 << p)
-                for p in range(self.universe_size)
-                if not lo >> p & 1
-            }
-            minimal = [c for c in cands if not any(d != c and d & ~c == 0 for d in cands)]
-            ups = tuple(sorted(minimal, key=canonical_mask_key))
+            extent = self._extent or self.atom_extents()
+            size = len(self._masks)
+            above = self.extent_of(lo)
+            # family index of each candidate; `size` stands for the universe
+            # when a candidate has no closed superset
+            firsts = set()
+            for p in range(self.universe_size):
+                if not lo >> p & 1:
+                    idx = above & extent[p]
+                    firsts.add((idx & -idx).bit_length() - 1 if idx else size)
+            covers: list[int] = []
+            reached = lo  # union of the covers found so far
+            for i in sorted(firsts):
+                c = self._masks[i] if i < size else self.full_mask()
+                if c & reached == lo:
+                    covers.append(c)
+                    reached |= c
+                elif all(d & ~c for d in covers):
+                    raise ContractViolation("the family is not closed under intersection")
+            ups = tuple(covers)
             self._upper_covers[lo] = ups
         return ups
 
@@ -398,10 +430,22 @@ def upper_covers(space: ClosureSpace, a: AtomSet) -> tuple[AtomSet, ...]:
 def _first_between(sp: ExplicitSpace, lo: int, hi: int) -> int:
     """First closed set in canonical order strictly between lo and hi, which
     the cover relation says exists unless the family is not closed under
-    intersection."""
-    for m in sp.masks:
-        if m != lo and m != hi and lo & ~m == 0 and m & ~hi == 0:
+    intersection.
+
+    The closed sets between lo and hi are the supersets of lo that hold no
+    atom outside hi: extent_of(lo) less the extents of those atoms.
+    """
+    extent = sp.atom_extents()
+    outside = 0
+    for q in bit_members(sp.full_mask() & ~hi):
+        outside |= extent[q]
+    between = sp.extent_of(lo) & ~outside
+    while between:
+        low = between & -between
+        m = sp.masks[low.bit_length() - 1]
+        if m != lo and m != hi:
             return m
+        between ^= low
     raise ContractViolation("the family is not closed under intersection")
 
 
@@ -479,15 +523,29 @@ def is_coatomistic(space: ClosureSpace) -> bool:
     """Every closed set is an intersection of coatoms (the universe being the
     empty intersection).
 
-    The intersection of the coatoms above m is m's closure in the space the
-    coatoms and the universe generate, so the closure kernel answers it.
+    The coatoms and the universe are not closed under intersection, so the
+    closure kernel's first-superset lookup cannot answer this; the test keeps
+    its own coatom index.  cext[q] is a bitset over coatom indices marking
+    the coatoms that contain atom q, so the AND of cext[p] over the atoms of
+    m marks the coatoms above m.  Their intersection is m iff every atom
+    outside m is missing from one of them.
     """
     sp = _require_explicit(space, "is_coatomistic")
-    n = sp.universe_size
-    coatomic = ExplicitSpace(
-        AtomSet(n, m) for m in (*sp.coatom_masks(), sp.full_mask())
-    )
-    return all(coatomic.closure_mask(m) == m for m in sp.masks)
+    cms = sp.coatom_masks()
+    cext = _transpose(cms, sp.universe_size)
+    every = (1 << len(cms)) - 1
+    missing = [every & ~e for e in cext]  # coatoms without atom q
+    skip = {*cms, sp.full_mask()}
+    for m in sp.masks:
+        if m in skip:
+            continue
+        idx = every
+        for p in bit_members(m):
+            idx &= cext[p]
+        for q, e in enumerate(missing):
+            if not e & idx and not m >> q & 1:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -519,7 +577,8 @@ def find_dual_covering_violation(space: ClosureSpace) -> DualCoveringViolation |
 
     The only closed sets containing a coatom x are x and the universe, so
     a ∨ x = universe iff a ⊄ x.  Like the cover relation, the test that a
-    covers a ∩ x assumes the family is closed under intersection.
+    covers a ∩ x assumes the family is closed under intersection; an a ∩ x
+    outside the family raises ContractViolation.
     """
     sp = _require_explicit(space, "dual covering property")
     for a in sp.masks:
@@ -527,6 +586,8 @@ def find_dual_covering_violation(space: ClosureSpace) -> DualCoveringViolation |
             if a & ~x == 0:
                 continue
             lo = a & x
+            if lo not in sp._mask_set:
+                raise ContractViolation("the family is not closed under intersection")
             if a not in sp.upper_cover_masks(lo):
                 return DualCoveringViolation(
                     bit_members(a),

@@ -103,10 +103,15 @@ def _build_boolean(n: int) -> Callable[[Budgets], NamedInstance]:
     return build
 
 
-def _build_gf3_2(budgets: Budgets) -> NamedInstance:
-    model = SubspaceModel.create(3, 2)
-    space, rel = build_projective_space(model, budgets)
-    return NamedInstance("gf3_2", space, relation=rel, model=model)
+def _build_gf_plane(q: int, form=None) -> Callable[[Budgets], NamedInstance]:
+    """GF(q)^2 with an anisotropic form (the identity unless given)."""
+
+    def build(budgets: Budgets) -> NamedInstance:
+        model = SubspaceModel.create(q, 2, form)
+        space, rel = build_projective_space(model, budgets)
+        return NamedInstance(f"gf{q}_2", space, relation=rel, model=model)
+
+    return build
 
 
 def _build_gf3_tensor(budgets: Budgets) -> NamedInstance:
@@ -122,7 +127,10 @@ BASE_BUILDERS: dict[str, Callable[[Budgets], NamedInstance]] = {
     "mo3": _build_mo(3),
     "boolean2": _build_boolean(2),
     "boolean3": _build_boolean(3),
-    "gf3_2": _build_gf3_2,
+    "gf3_2": _build_gf_plane(3),
+    # -1 is a square mod 5, so the identity form has isotropic points there
+    "gf5_2": _build_gf_plane(5, ((1, 0), (0, 2))),
+    "gf7_2": _build_gf_plane(7),
     "gf3_tensor": _build_gf3_tensor,
 }
 

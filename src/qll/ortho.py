@@ -21,7 +21,7 @@ over-approximate, never miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .atomset import AtomSet, bit_members
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -89,6 +89,10 @@ class OrthoMap:
 
     space: ClosureSpace
     atom_image: tuple[AtomSet, ...]
+    # verify_orthocomplementation's verdict on space, kept after the first call
+    _verdict: "OrthoVerification | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = self.space.universe_size
@@ -149,13 +153,23 @@ def verify_orthocomplementation(
     The candidate's atom images must be coatoms (that much is an input error,
     not a verdict: a non-coatom image is not even a candidate).  Order
     reversal needs no check: a' is the intersection of the images of a's
-    atoms, so a ⊆ b gives b' ⊆ a' by construction.
+    atoms, so a ⊆ b gives b' ⊆ a' by construction.  The verdict on the map's
+    own space is kept on the map, so each map is checked once.
     """
     sp = _require_explicit(space, "verify_orthocomplementation")
+    if candidate._verdict is not None and candidate.space is sp:
+        return candidate._verdict
     coatom_set = set(sp.coatom_masks())
     for p, img in enumerate(candidate.atom_image):
         if img.mask not in coatom_set:
             raise InputError(f"image of atom {p} is not a coatom: {img!r}")
+    verdict = _first_law_failure(sp, candidate)
+    if candidate.space is sp:
+        object.__setattr__(candidate, "_verdict", verdict)
+    return verdict
+
+
+def _first_law_failure(sp: ExplicitSpace, candidate: OrthoMap) -> OrthoVerification:
     full = sp.full_mask()
     for m in sp.masks:
         c = candidate.complement_mask(m)
@@ -359,7 +373,9 @@ def find_orthomodularity_violation(
     """First pair a <= b with b != a ∨ (b ∧ a'), or None.
 
     The ortho map must verify; feeding an unverified candidate is a contract
-    violation because the law only makes sense for a genuine complement.
+    violation because the law only makes sense for a genuine complement.  For
+    each a, b ranges over a's closed supersets as the closure kernel lists
+    them (extent_of), in canonical order.
     """
     sp = _require_explicit(space, "orthomodularity")
     verdict = verify_orthocomplementation(sp, ortho)
@@ -368,12 +384,10 @@ def find_orthomodularity_violation(
             f"ortho map fails law '{verdict.law}'; orthomodularity is undefined"
         )
     masks = sp.masks
-    comp = {m: ortho.complement_mask(m) for m in masks}
     for a in masks:
-        ca = comp[a]
-        for b in masks:
-            if a & ~b:
-                continue
+        ca = ortho.complement_mask(a)
+        for i in bit_members(sp.extent_of(a)):
+            b = masks[i]
             rejoined = sp.closure_mask(a | (b & ca))
             if rejoined != b:
                 return OrthomodularityViolation(

@@ -209,6 +209,19 @@ def test_list_command(capsys):
     assert "thm8.6" in data["theorems"]
 
 
+def test_gf5_and_gf7_planes_are_registered(capsys):
+    code, out, _ = _run(capsys, "list")
+    assert code == 0
+    base = json.loads(out)["instances"]["base"]
+    assert "gf5_2" in base and "gf7_2" in base
+
+    code, out, _ = _run(capsys, "check", "--property", "covering", "down(gf5_2,gf5_2)")
+    assert code == 0
+    data = json.loads(out)
+    assert data["holds"] is True
+    assert data["witness"] is None
+
+
 def test_usage_errors_exit_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--property", "nonsense", "mo2"])

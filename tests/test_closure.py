@@ -143,6 +143,20 @@ def test_covering_needs_intersection_closed_family():
         find_covering_violation(sp)
 
 
+def test_cover_relation_needs_intersection_closed_family():
+    # the family above: {0,1,2} and {0,1,3} would both be upper covers of
+    # {0}, yet they meet in {0,1}, not in {0}; and the coatom {0,1,3} meets
+    # {0,1,2} outside the family
+    sp = _space(4, [[], [0], [1], [2], [3], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3]])
+    lo = AtomSet.singleton(4, 0)
+    with pytest.raises(ContractViolation):
+        covers(sp, lo, AtomSet.from_members(4, [0, 1, 2]))
+    with pytest.raises(ContractViolation):
+        upper_covers(sp, lo)
+    with pytest.raises(ContractViolation):
+        find_dual_covering_violation(sp)
+
+
 def test_dual_covering_and_dac(mo2_space):
     assert find_dual_covering_violation(mo2_space) is None
     assert is_dac(mo2_space)

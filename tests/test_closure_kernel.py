@@ -1,7 +1,8 @@
 """The closure kernel and the cover relation of ExplicitSpace against the
 linear family scans they replaced (tests/helpers.py), its coatoms against
 the pairwise oracle and is_coatomistic against the nested coatom scan, on
-the L0 and L1 products and on two seeded atom relabellings of each."""
+the L0 and L1 products and on two seeded atom relabellings of each, with a
+sampled spot check of closure and covers at L2."""
 
 from __future__ import annotations
 
@@ -112,6 +113,27 @@ def test_coatom_masks_match_naive_coatoms(name, seed):
 def test_is_coatomistic_matches_nested_scan(name, seed):
     sp = _space(name, seed)
     assert is_coatomistic(sp) == nested_is_coatomistic(sp)
+
+
+L2_SPACES = {
+    "down(gf7_2,gf7_2)": lambda: down_product(
+        resolve_base("gf7_2").model, resolve_base("gf7_2").model
+    ).space,
+    "sep(mo3,mo3)": lambda: sep_product(_base("mo3"), _base("mo3")).space,
+}
+
+
+@pytest.mark.parametrize("name", L2_SPACES)
+def test_kernel_matches_linear_scan_on_l2_sample(name):
+    """A spot check at L2, kept small for suite time: 200 seeded members,
+    their upper covers, and the closure of each plus a seeded atom."""
+    sp = L2_SPACES[name]()
+    masks, full, n = sp.masks, sp.full_mask(), sp.universe_size
+    rng = random.Random(f"l2:{name}")
+    for lo in rng.sample(masks, 200):
+        assert sp.upper_cover_masks(lo) == linear_upper_covers(masks, lo), lo
+        probe = lo | 1 << rng.randrange(n)
+        assert sp.closure_mask(probe) == linear_closure_mask(masks, full, probe), probe
 
 
 NOT_COATOMISTIC = {

@@ -25,6 +25,8 @@ def test_registry_lists_expected_names():
         "boolean2",
         "boolean3",
         "gf3_2",
+        "gf5_2",
+        "gf7_2",
         "gf3_tensor",
     }
     assert set(list_theorems()) == set(THEOREMS)

@@ -3,11 +3,14 @@ from __future__ import annotations
 import pytest
 
 from helpers import family_as_sets, naive_orthocomplementations
+import qll.ortho
 from qll.atomset import AtomSet
 from qll.budgets import DEFAULT_BUDGETS
+from qll.cli import main
 from qll.closure import ExplicitSpace, powerset_space
 from qll.errors import BudgetExceeded, ContractViolation, InputError
 from qll.geometry import mo_lattice
+from qll.harness import verify
 from qll.ortho import (
     OrthogonalityRelation,
     OrthoMap,
@@ -156,6 +159,26 @@ def test_orthomodularity_needs_valid_map(mo2):
     bad = OrthoMap(mo2.space, tuple(AtomSet.singleton(4, i) for i in range(4)))
     with pytest.raises(ContractViolation):
         find_orthomodularity_violation(mo2.space, bad)
+
+
+def test_each_ortho_map_is_verified_once(monkeypatch, capsys):
+    # the cross map is checked when it is built; the orthomodularity scan
+    # and the report read that verdict instead of checking the map again
+    checked = []
+    check = qll.ortho._first_law_failure
+
+    def counting(sp, candidate):
+        checked.append(candidate)
+        return check(sp, candidate)
+
+    monkeypatch.setattr(qll.ortho, "_first_law_failure", counting)
+    report = verify("thm9.1")
+    assert report.verdict == "verified"
+    assert len(checked) == 1
+    assert main(["check", "--property", "omod", "sep(mo2,mo2)"]) == 1
+    capsys.readouterr()
+    assert len(checked) == 2
+    assert checked[0] is not checked[1]
 
 
 def test_atom_conditions_frozen_values(mo2):
