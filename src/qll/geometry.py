@@ -49,6 +49,7 @@ from .gf import (
     rref_matrices,
     transpose,
 )
+from .ortho import OrthogonalityRelation
 from .automorphisms import AtomPermutation
 from .products import PairGrid
 
@@ -193,7 +194,7 @@ def build_projective_space(
     model: SubspaceModel,
     budgets: Budgets = DEFAULT_BUDGETS,
     require_anisotropic: bool = True,
-) -> tuple[ExplicitSpace, "OrthogonalityRelation | None"]:
+) -> tuple[ExplicitSpace, OrthogonalityRelation | None]:
     """Closure space of subspace point-sets plus the form's atom orthogonality.
 
     Atom orthogonality must be irreflexive, so an isotropic point (form(p,p)=0,
@@ -201,8 +202,6 @@ def build_projective_space(
     an error unless require_anisotropic=False, in which case no relation is
     returned and only form-free structure is available.
     """
-    from .ortho import OrthogonalityRelation
-
     atoms = model.atom_table
     relation: OrthogonalityRelation | None = None
     isotropic = [v for v in atoms if model.form_value(v, v) == 0]
@@ -220,13 +219,8 @@ def build_projective_space(
                     m |= 1 << j
             masks.append(m)
         relation = OrthogonalityRelation(len(atoms), tuple(masks))
-    family = []
-    seen = set()
-    for s in enumerate_subspaces(model, budgets):
-        a = s.atom_set()
-        if a.mask not in seen:
-            seen.add(a.mask)
-            family.append(a)
+    # distinct subspaces have distinct point sets
+    family = [s.atom_set() for s in enumerate_subspaces(model, budgets)]
     labels = ["(" + ",".join(map(str, v)) + ")" for v in atoms]
     space = ExplicitSpace(family, atom_labels=labels, budgets=budgets)
     return space, relation
@@ -262,11 +256,9 @@ def sigma_down(v: Subspace) -> AtomSet:
     return AtomSet(m1.atom_count * n2, mask)
 
 
-def mo_lattice(n: int) -> tuple[ExplicitSpace, "OrthogonalityRelation"]:
+def mo_lattice(n: int) -> tuple[ExplicitSpace, OrthogonalityRelation]:
     """MO_n: 2n atoms, closed sets are empty, singletons and the universe;
     atom 2k is orthogonal to atom 2k+1."""
-    from .ortho import OrthogonalityRelation
-
     if n < 2:
         raise InputError("mo_lattice needs n >= 2 (n=1 would be Boolean)")
     size = 2 * n

@@ -523,8 +523,9 @@ def _pipeline_automorphisms_decompose(
         checks.append(
             _check(f"{kind}_all_decompose", failure is None, failure=failure)
         )
-        # decompose_automorphism returns only once pair_image of its triple
-        # equals u, so every generator that decomposes round-trips
+        # a decomposed triple reproduces u by construction (see
+        # decompose_automorphism), so every generator that decomposes
+        # round-trips
         checks.append(_check(f"{kind}_roundtrip", failure is None))
         checks.append(
             _check(
@@ -567,7 +568,7 @@ def _pipeline_down_properties(
             _check(
                 f"axiom_{axiom.lower()}",
                 c.passed,
-                witnesses=[list(w) if isinstance(w, tuple) else w for w in c.witnesses],
+                witnesses=list(c.witnesses),
             )
         )
 

@@ -14,9 +14,21 @@ injective atom -> coatom assignments.  Two facts prune it:
 * symmetry: q <= p' iff p <= q', so fixing p' splits every other atom's
   candidate list by whether it contains p.
 
-Each completed assignment is then checked against the laws over the whole
-family (order reversal holds by construction), so the search can only
-over-approximate, never miss.
+Every completed assignment φ is irreflexive (p ∉ φ(p)), symmetric
+(q ∈ φ(p) iff p ∈ φ(q)) and, being injective with as many coatoms as atoms,
+a bijection onto the coatoms.  On a family closed under intersection such a
+φ is an orthocomplementation exactly when the space is coatomistic, so one
+is_coatomistic call decides every leaf and no leaf is checked on its own:
+
+* a' is an intersection of coatoms, so it is closed;
+* a ∧ a' = 0, because x ∈ a ∩ a' would give x ∈ φ(x);
+* q ∈ a' iff a ⊆ φ(q), by symmetry, so by surjectivity a'' is the
+  intersection of all the coatoms containing a, and a'' = a for every
+  closed a exactly when the space is coatomistic;
+* a ⊆ b gives b' ⊆ a', so an involutive ' is a dual automorphism and
+  a ∨ a' = (a' ∧ a)' = 0' = 1.
+
+verify_orthocomplementation remains for maps from outside the search.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .atomset import AtomSet, bit_members
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .closure import ClosureSpace, ExplicitSpace, _require_explicit
+from .closure import ClosureSpace, ExplicitSpace, _require_explicit, is_coatomistic
 from .errors import BudgetExceeded, ContractViolation, InputError
 
 
@@ -236,9 +248,11 @@ def find_orthocomplementations(
 ) -> OrthoSearchResult:
     """Enumerate every orthocomplementation of an explicit space.
 
-    Returns all verified maps in a deterministic order.  An empty result is a
-    proof there are none (via the counting certificate or via completed
-    search).  Hitting the node budget raises BudgetExceeded.
+    Returns all maps in a deterministic order.  An empty result is a proof
+    there are none (via the counting certificate or via completed search).
+    Hitting the node budget raises BudgetExceeded.  The family must be
+    closed under intersection, as for closure; then the search keeps every
+    leaf or none, as is_coatomistic says (see the module docstring).
     """
     sp = _require_explicit(space, "find_orthocomplementations")
     n = sp.universe_size
@@ -252,6 +266,7 @@ def find_orthocomplementations(
             "reason": "an orthocomplementation maps atoms bijectively onto coatoms",
         }
         return OrthoSearchResult((), exhaustive=True, nodes=0, certificate=certificate)
+    coatomistic = is_coatomistic(sp)
 
     # contains[p]: bitmask over coatom indices of the coatoms containing atom p
     contains = [0] * n
@@ -272,11 +287,10 @@ def find_orthocomplementations(
     def assign(pos: int, allowed: list[int]) -> None:
         nonlocal nodes
         if pos == n:
-            candidate = OrthoMap(
-                sp, tuple(AtomSet(n, cms[image[p]]) for p in range(n))
-            )
-            if verify_orthocomplementation(sp, candidate).ok:
-                found.append(candidate)
+            if coatomistic:
+                found.append(
+                    OrthoMap(sp, tuple(AtomSet(n, cms[image[p]]) for p in range(n)))
+                )
             return
         p = order[pos]
         options = allowed[p]

@@ -43,6 +43,7 @@ from .closure import (
     ImplicitSpace,
     _require_explicit,
     is_coatomistic,
+    space_to_json,
     validate_simple_closure_space,
 )
 from .errors import BudgetExceeded, ContractViolation, InputError
@@ -173,8 +174,6 @@ class ProductInstance:
         return sections(r, p, self.grid.n1, self.grid.n2)
 
     def to_json(self) -> dict:
-        from .closure import space_to_json
-
         out: dict = {
             "product": self.kind,
             "left": space_to_json(_require_explicit(self.left, "to_json")),
@@ -202,9 +201,9 @@ def _pair_labels(left: ClosureSpace, right: ClosureSpace) -> list[str]:
 
 def _close_under_intersections(
     gens: "Iterable[int]", full: int, budgets: Budgets
-) -> list[int]:
-    """Smallest intersection-closed family holding gens and full, in
-    canonical order.
+) -> set[int]:
+    """Smallest intersection-closed family holding gens and full, unordered
+    (ExplicitSpace sorts it into canonical order).
 
     Adds one generator at a time: if F is closed under intersection and
     holds full, so is F ∪ {g ∧ m : m in F}, and it holds g.  That costs
@@ -217,7 +216,7 @@ def _close_under_intersections(
             family |= {g & m for m in family}
             if len(family) > budgets.family_cap:
                 raise BudgetExceeded("family_cap", budgets.family_cap)
-    return sorted(family, key=canonical_mask_key)
+    return family
 
 
 def sep_product(

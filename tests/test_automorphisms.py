@@ -5,6 +5,7 @@ import pytest
 from qll.atomset import AtomSet
 from qll.automorphisms import (
     AtomPermutation,
+    automorphism_chain,
     automorphism_group,
     decompose_automorphism,
     dual_automorphism,
@@ -23,7 +24,8 @@ from qll.errors import (
     InputError,
 )
 from qll.ortho import ortho_from_atom_orthogonality
-from qll.products import PairGrid, ProductInstance, sep_product
+from qll.harness import resolve_base
+from qll.products import PairGrid, ProductInstance, sep_product, star_product
 
 
 def test_permutation_basics():
@@ -99,6 +101,18 @@ def test_swap_decomposes_with_flag(sep_mm):
     assert dec.swap
     assert dec.v1.image == (0, 1, 2, 3)
     assert dec.v2.image == (0, 1, 2, 3)
+    assert grid.pair_image(dec.v1, dec.v2, dec.swap) == swap.image
+
+
+# decompose_automorphism does not compare its triple with u pointwise: the
+# triple reproduces u by construction, which this checks
+@pytest.mark.parametrize("build", [sep_product, star_product], ids=["sep", "star"])
+@pytest.mark.parametrize("right", ["mo2", "mo3"])
+def test_generator_decompositions_reproduce_u(build, right):
+    inst = build(resolve_base("mo2").space, resolve_base(right).space)
+    for u in automorphism_chain(inst.space).generators:
+        dec = decompose_automorphism(inst, u)
+        assert inst.grid.pair_image(dec.v1, dec.v2, dec.swap) == u.image
 
 
 def test_induced_roundtrip(sep_mm, mo2):
@@ -192,6 +206,21 @@ def test_dual_automorphism_maps_coatoms_to_coatoms(sep_mm, pair_rel_mm):
         mapping = {src.mask: img.mask for src, img in pairs}
         for c in coatom_masks:
             assert mapping[c] in coatom_masks
+
+
+def test_dual_automorphism_is_a_join_preserving_bijection(sep_mm, hash_ortho_mm):
+    # dual_automorphism does not scan for these: they hold by construction
+    # once u is an automorphism and the ortho map verifies
+    sp = sep_mm.space
+    for u in automorphism_chain(sp).generators:
+        pairs = dual_automorphism(sp, hash_ortho_mm, u)
+        mapping = {src.mask: img.mask for src, img in pairs}
+        assert len(mapping) == len(sp.masks)
+        assert set(mapping.values()) == set(sp.masks)
+        for a in sp.masks:
+            for b in sp.masks:
+                lhs = mapping[sp.closure_mask(a | b)]
+                assert lhs == sp.closure_mask(mapping[a] | mapping[b]), (a, b)
 
 
 def test_orbits_partition():

@@ -32,7 +32,7 @@ from qll.closure import (
 from qll.export import export_dot
 from qll.geometry import SubspaceModel
 from qll.harness import resolve_base
-from qll.ortho import find_orthocomplementations
+from qll.ortho import find_orthocomplementations, verify_orthocomplementation
 from qll.products import (
     down_product,
     materialize_top_product,
@@ -193,3 +193,7 @@ def test_ortho_maps_match_linear_scan(seed, monkeypatch):
     slow = find_orthocomplementations(sp)
     assert [m.image_masks() for m in slow.maps] == [m.image_masks() for m in fast.maps]
     assert slow.nodes == fast.nodes
+    # the search keeps its leaves without a law scan; the scan, on the
+    # linear closure, is the oracle
+    for om in slow.maps:
+        assert verify_orthocomplementation(sp, om).ok, om.to_json()

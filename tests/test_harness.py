@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
+
+from qll.cli import main
 
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import InputError
@@ -318,3 +321,37 @@ def test_reports_reproducible():
     a.pop("elapsed_seconds")
     b.pop("elapsed_seconds")
     assert a == b
+
+
+# sha256 of each default-claim report (elapsed_seconds removed, keys sorted)
+# and of the `qll check --property ortho` stdout, pinned so that a change
+# meant to keep every answer shows that it does
+REPORT_DIGESTS = {
+    "cnot": "4b2b7138c817a64beef5ce60e7724d40bf2d3a32ae39c99b337960c2b8a24ec0",
+    "thm10.4": "24ac49c8c507a9c46a74cc14e66725b0d1501117c1faf6f0ce2fb9d7ae8c31dc",
+    "thm5.x": "de7a8cd70795cb5c7ea0a5ae3b2675048ac008ae48f9506fd869b699b8a87d51",
+    "thm7.5": "34198c65ab366d90e28ab9f54f8b34d982558edb372c3d9253ae0ffa45606ac8",
+    "thm8.6": "112364215e001851cd2659e236f8e6fb991bfff389a355e65e81ef3dfa9fb175",
+    "thm9.1": "33b7b8379f4bc19d91961ad0c46f01206b6953f2f473f01d859d347d3b55ec95",
+    "thm9.4": "3b9b2fb61cc65570ed978f5fbc4563a31b774543ecd3d2cf670b3ee1215904e0",
+}
+ORTHO_STDOUT_DIGESTS = {
+    "sep(mo2,mo2)": "ea03596fa680e06a6eb9ddaf60727ed277d04abdb0214f16344b19dfb4e377a7",
+    "sep(mo2,mo3)": "496d465e9a61c78531718dd2b4b42e96b242f29a273cee69617e2eaea398b4e1",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_default_reports_are_unchanged(capsys):
+    assert set(REPORT_DIGESTS) == set(THEOREMS)
+    for tid, digest in REPORT_DIGESTS.items():
+        data = verify(tid).to_json()
+        data.pop("elapsed_seconds")
+        assert _sha256(json.dumps(data, sort_keys=True)) == digest, tid
+    capsys.readouterr()
+    for name, digest in ORTHO_STDOUT_DIGESTS.items():
+        assert main(["check", "--property", "ortho", name]) == 0
+        assert _sha256(capsys.readouterr().out) == digest, name

@@ -23,6 +23,7 @@ from qll.ortho import (
     third_atom_condition,
     verify_orthocomplementation,
 )
+from qll.products import sep_product
 
 
 def test_relation_must_be_irreflexive_and_symmetric():
@@ -124,6 +125,38 @@ def test_naive_search_confirms_certificate():
         "reason": "an orthocomplementation maps atoms bijectively onto coatoms",
     }
     assert naive_orthocomplementations(family_as_sets(space), range(4)) == []
+
+
+# six atoms and six coatoms ({0,3}, {2,4}, {0,1,5}, {1,2,3}, {1,4,5},
+# {2,3,5}); the search reaches one leaf on both families, and adding {2,5}
+# (below the one coatom {2,3,5}) makes the space not coatomistic, so that
+# leaf is not an orthocomplementation: {2,5}'' = {2,3,5}
+SIX_ATOMS = [set(), *({i} for i in range(6)), {0, 3}, {1, 5}, {2, 3}, {2, 4},
+             {0, 1, 5}, {1, 2, 3}, {1, 4, 5}, {2, 3, 5}, set(range(6))]
+
+
+@pytest.mark.parametrize("extra,count", [([], 1), ([{2, 5}], 0)])
+def test_search_keeps_leaves_iff_coatomistic(extra, count):
+    space = ExplicitSpace(AtomSet.from_members(6, m) for m in SIX_ATOMS + extra)
+    res = find_orthocomplementations(space)
+    assert len(space.coatom_masks()) == 6
+    assert res.certificate is None and res.nodes == 9
+    assert len(res.maps) == count
+    assert all(verify_orthocomplementation(space, m).ok for m in res.maps)
+    naive = naive_orthocomplementations(family_as_sets(space), range(6))
+    assert len(naive) == count
+    got = {tuple(frozenset(img.members) for img in m.atom_image) for m in res.maps}
+    assert got == {tuple(image[a] for a in range(6)) for image in naive}
+
+
+def test_search_checks_no_leaf(monkeypatch, mo2, mo3):
+    def refuse(*args):
+        raise AssertionError("the search checked a leaf")
+
+    monkeypatch.setattr(qll.ortho, "verify_orthocomplementation", refuse)
+    monkeypatch.setattr(qll.ortho, "_first_law_failure", refuse)
+    sep = sep_product(mo2.space, mo3.space)
+    assert len(find_orthocomplementations(sep.space).maps) == 45
 
 
 def test_search_node_budget(sep_mm):
