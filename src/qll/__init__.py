@@ -25,6 +25,7 @@ from .closure import (
     meet,
     powerset_space,
     space_from_json,
+    space_from_masks,
     space_to_json,
     upper_covers,
     validate_simple_closure_space,

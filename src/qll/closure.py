@@ -173,12 +173,16 @@ class ClosureSpace:
 class ExplicitSpace(ClosureSpace):
     """Closure space given by its full family of closed sets.
 
-    The constructor deduplicates and sorts into canonical order but does not
-    validate the axioms; call validate_simple_closure_space (or construct via
-    space_from_json, which does) when the family is of unknown provenance.
-    Closure reads the first closed superset in canonical order, and the cover
-    relation is built on it, so both assume the family is closed under
-    intersection.
+    Two doors lead to one construction body, which deduplicates, applies
+    family_cap and sorts into canonical order: ExplicitSpace(family) takes
+    AtomSets and rejects an empty family or mixed universes, and
+    space_from_masks takes the masks a product builder holds, a family
+    closed by construction.  Neither door validates the axioms; call
+    validate_simple_closure_space (or construct via space_from_json, which
+    does) when the family is of unknown provenance.  Closure reads the
+    first closed superset in canonical order, and the cover relation and
+    the coatoms are built on it, so all three assume the family is closed
+    under intersection.  The AtomSet view (family) is built on request.
     """
 
     def __init__(
@@ -196,16 +200,19 @@ class ExplicitSpace(ClosureSpace):
                 raise UniverseMismatch(
                     f"family mixes universe sizes {n} and {s.universe_size}"
                 )
-        masks = sorted(set(s.mask for s in sets), key=canonical_mask_key)
-        if len(masks) > budgets.family_cap:
+        self._set_masks(n, (s.mask for s in sets), atom_labels, budgets)
+
+    def _set_masks(self, n: int, masks: Iterable[int], atom_labels, budgets) -> None:
+        """The construction body behind both doors."""
+        self._mask_set: frozenset[int] = frozenset(masks)
+        if len(self._mask_set) > budgets.family_cap:
             raise BudgetExceeded("family_cap", budgets.family_cap)
         self.universe_size = n
         self.atom_labels = tuple(atom_labels) if atom_labels is not None else None
         if self.atom_labels is not None and len(self.atom_labels) != n:
             raise InputError("atom_labels length does not match universe size")
-        self._masks: tuple[int, ...] = tuple(masks)
-        self._mask_set: frozenset[int] = frozenset(masks)
-        self._family: tuple[AtomSet, ...] = tuple(AtomSet(n, m) for m in masks)
+        self._masks = tuple(sorted(self._mask_set, key=canonical_mask_key))
+        self._family: tuple[AtomSet, ...] | None = None
         self._coatom_masks: tuple[int, ...] | None = None
         # closure kernel, built on first use (see closure_mask)
         self._extent: tuple[int, ...] | None = None
@@ -217,6 +224,8 @@ class ExplicitSpace(ClosureSpace):
 
     @property
     def family(self) -> tuple[AtomSet, ...]:
+        if self._family is None:
+            self._family = tuple(AtomSet(self.universe_size, m) for m in self._masks)
         return self._family
 
     @property
@@ -305,18 +314,19 @@ class ExplicitSpace(ClosureSpace):
     def coatom_masks(self) -> tuple[int, ...]:
         """Maximal proper closed sets in canonical order, cached.
 
-        Scans the family largest first.  Every proper closed set lies below
-        some coatom, which has more elements and so is already found when
-        the set is reached; a set below none of the coatoms found so far is
-        itself a coatom.
+        Read off the closure kernel: extent_of(m) marks the closed supersets
+        of m, so a proper member m is a coatom iff they are m itself and the
+        universe.  extent_of(full) marks the universe, or nothing in a
+        family without it, where the coatoms found are the maximal members.
         """
         if self._coatom_masks is None:
             full = self.full_mask()
-            found: list[int] = []
-            for m in reversed(self._masks):
-                if m != full and not any(m & ~c == 0 for c in found):
-                    found.append(m)
-            self._coatom_masks = tuple(reversed(found))
+            top = self.extent_of(full)
+            self._coatom_masks = tuple(
+                m
+                for i, m in enumerate(self._masks)
+                if m != full and self.extent_of(m) & ~top == 1 << i
+            )
         return self._coatom_masks
 
     def __eq__(self, other: object) -> bool:
@@ -371,16 +381,31 @@ class ImplicitSpace(ClosureSpace):
         return f"ImplicitSpace(n={self.universe_size}{tag})"
 
 
+def space_from_masks(
+    universe_size: int,
+    masks: Iterable[int],
+    atom_labels: Iterable[str] | None = None,
+    budgets: Budgets = DEFAULT_BUDGETS,
+) -> ExplicitSpace:
+    """Explicit space on the given masks: the door the product builders use.
+
+    It runs the same construction body as ExplicitSpace(family), with no
+    AtomSet built on the way in.  The masks must lie in the universe and,
+    as for every explicit space, be closed under intersection; neither is
+    checked, since the builders' families are closed by construction.
+    """
+    sp = ExplicitSpace.__new__(ExplicitSpace)
+    sp._set_masks(universe_size, masks, atom_labels, budgets)
+    return sp
+
+
 def powerset_space(universe_size: int, atom_labels: Iterable[str] | None = None) -> ExplicitSpace:
     """The Boolean lattice of all subsets of the universe."""
     if universe_size < 1:
         raise InputError("universe must have at least one atom")
     if universe_size > 20:
         raise BudgetExceeded("family_cap", DEFAULT_BUDGETS.family_cap)
-    n = universe_size
-    return ExplicitSpace(
-        (AtomSet(n, m) for m in range(1 << n)), atom_labels=atom_labels
-    )
+    return space_from_masks(universe_size, range(1 << universe_size), atom_labels)
 
 
 # ---------------------------------------------------------------------------

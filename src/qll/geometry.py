@@ -22,7 +22,7 @@ from itertools import product
 
 from .atomset import AtomSet
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .closure import ClosureSpace, ExplicitSpace
+from .closure import ClosureSpace, ExplicitSpace, space_from_masks
 from .errors import (
     BudgetExceeded,
     DegenerateFormError,
@@ -220,10 +220,9 @@ def build_projective_space(
             masks.append(m)
         relation = OrthogonalityRelation(len(atoms), tuple(masks))
     # distinct subspaces have distinct point sets
-    family = [s.atom_set() for s in enumerate_subspaces(model, budgets)]
+    masks = [s.atom_set().mask for s in enumerate_subspaces(model, budgets)]
     labels = ["(" + ",".join(map(str, v)) + ")" for v in atoms]
-    space = ExplicitSpace(family, atom_labels=labels, budgets=budgets)
-    return space, relation
+    return space_from_masks(len(atoms), masks, labels, budgets), relation
 
 
 def tensor_model(m1: SubspaceModel, m2: SubspaceModel) -> SubspaceModel:
@@ -262,12 +261,11 @@ def mo_lattice(n: int) -> tuple[ExplicitSpace, OrthogonalityRelation]:
     if n < 2:
         raise InputError("mo_lattice needs n >= 2 (n=1 would be Boolean)")
     size = 2 * n
-    family = [AtomSet.empty(size), AtomSet.full(size)]
-    family.extend(AtomSet.singleton(size, i) for i in range(size))
+    masks = [0, (1 << size) - 1, *(1 << i for i in range(size))]
     rel = OrthogonalityRelation.from_pairs(
         size, [(2 * k, 2 * k + 1) for k in range(n)]
     )
-    return ExplicitSpace(family), rel
+    return space_from_masks(size, masks), rel
 
 
 def _group_from_matrices(

@@ -50,6 +50,7 @@ from .ortho import (
     third_atom_condition,
 )
 from .products import (
+    PairGrid,
     ProductInstance,
     check_p123,
     check_p4,
@@ -307,16 +308,11 @@ def pair_relation(
     rel1: OrthogonalityRelation,
     rel2: OrthogonalityRelation,
 ) -> OrthogonalityRelation:
-    """Product-atom orthogonality: orthogonal in either coordinate."""
-    pairs = []
-    size = grid_n1 * grid_n2
-    for k in range(size):
-        p1, p2 = divmod(k, grid_n2)
-        for j in range(k + 1, size):
-            q1, q2 = divmod(j, grid_n2)
-            if rel1.are_orthogonal(p1, q1) or rel2.are_orthogonal(p2, q2):
-                pairs.append((k, j))
-    return OrthogonalityRelation.from_pairs(size, pairs)
+    """Product-atom orthogonality: orthogonal in either coordinate, so the
+    atoms orthogonal to (p1, p2) form the cross of p1's and p2's perp sets."""
+    grid = PairGrid(grid_n1, grid_n2)
+    crosses = [grid.cross_mask(a, b) for a in rel1.perp_masks for b in rel2.perp_masks]
+    return OrthogonalityRelation(grid.size, tuple(crosses))
 
 
 def sep_cross_ortho(

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .atomset import AtomSet, bit_members
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .closure import ClosureSpace, ExplicitSpace, _require_explicit, is_coatomistic
+from .closure import ClosureSpace, ExplicitSpace, _require_explicit, _transpose, is_coatomistic
 from .errors import BudgetExceeded, ContractViolation, InputError
 
 
@@ -256,7 +256,7 @@ def find_orthocomplementations(
     """
     sp = _require_explicit(space, "find_orthocomplementations")
     n = sp.universe_size
-    cms = list(sp.coatom_masks())
+    cms = sp.coatom_masks()
     k = len(cms)
     if n != k:
         certificate = {
@@ -268,11 +268,8 @@ def find_orthocomplementations(
         return OrthoSearchResult((), exhaustive=True, nodes=0, certificate=certificate)
     coatomistic = is_coatomistic(sp)
 
-    # contains[p]: bitmask over coatom indices of the coatoms containing atom p
-    contains = [0] * n
-    for ci, cm in enumerate(cms):
-        for p in bit_members(cm):
-            contains[p] |= 1 << ci
+    # contains[p]: the coatoms holding atom p, indexed as is_coatomistic does
+    contains = _transpose(cms, n)
     all_coatoms = (1 << k) - 1
 
     # process atoms in descending degree (ties by id) for earlier conflicts

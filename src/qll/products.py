@@ -39,10 +39,10 @@ from .automorphisms import AtomPermutation, first_unpreserved
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
     ClosureSpace,
-    ExplicitSpace,
     ImplicitSpace,
     _require_explicit,
     is_coatomistic,
+    space_from_masks,
     space_to_json,
     validate_simple_closure_space,
 )
@@ -203,7 +203,7 @@ def _close_under_intersections(
     gens: "Iterable[int]", full: int, budgets: Budgets
 ) -> set[int]:
     """Smallest intersection-closed family holding gens and full, unordered
-    (ExplicitSpace sorts it into canonical order).
+    (space_from_masks sorts it into canonical order).
 
     Adds one generator at a time: if F is closed under intersection and
     holds full, so is F ∪ {g ∧ m : m in F}, and it holds g.  That costs
@@ -231,11 +231,7 @@ def sep_product(
         grid.cross_mask(a1, a2) for a1 in l.masks for a2 in r.masks
     }
     masks = _close_under_intersections(crosses, (1 << grid.size) - 1, budgets)
-    space = ExplicitSpace(
-        (AtomSet(grid.size, m) for m in masks),
-        atom_labels=_pair_labels(l, r),
-        budgets=budgets,
-    )
+    space = space_from_masks(grid.size, masks, _pair_labels(l, r), budgets)
     return ProductInstance("sep", l, r, space, grid)
 
 
@@ -346,11 +342,7 @@ def materialize_top_product(
     r = _require_explicit(right, "materialize_top_product")
     grid = PairGrid(l.universe_size, r.universe_size)
     keep = _section_search(r.masks, l.masks, grid.n1, grid.n2, budgets)
-    space = ExplicitSpace(
-        (AtomSet(grid.size, m) for m in keep),
-        atom_labels=_pair_labels(l, r),
-        budgets=budgets,
-    )
+    space = space_from_masks(grid.size, keep, _pair_labels(l, r), budgets)
     return ProductInstance("top", l, r, space, grid)
 
 
@@ -365,14 +357,14 @@ def star_generators(
     against family_cap."""
     l = _require_explicit(left, "star_generators")
     r = _require_explicit(right, "star_generators")
-    grid = PairGrid(l.universe_size, r.universe_size)
+    n1, n2 = l.universe_size, r.universe_size
     # coatoms are proper, so no row option repeats and no leaf is found twice
-    rows = (*r.coatom_masks(), (1 << grid.n2) - 1)
-    cols = (*l.coatom_masks(), (1 << grid.n1) - 1)
-    full = (1 << grid.size) - 1
-    masks = _section_search(rows, cols, grid.n1, grid.n2, budgets)
+    rows = (*r.coatom_masks(), (1 << n2) - 1)
+    cols = (*l.coatom_masks(), (1 << n1) - 1)
+    full = (1 << n1 * n2) - 1
+    masks = _section_search(rows, cols, n1, n2, budgets)
     masks.sort(key=canonical_mask_key)
-    return [AtomSet(grid.size, m) for m in masks if m != full]
+    return [AtomSet(n1 * n2, m) for m in masks if m != full]
 
 
 def star_product(
@@ -391,11 +383,7 @@ def star_product(
     grid = PairGrid(l.universe_size, r.universe_size)
     gens = {g.mask for g in star_generators(l, r, budgets)}
     masks = _close_under_intersections(gens, (1 << grid.size) - 1, budgets)
-    space = ExplicitSpace(
-        (AtomSet(grid.size, m) for m in masks),
-        atom_labels=_pair_labels(l, r),
-        budgets=budgets,
-    )
+    space = space_from_masks(grid.size, masks, _pair_labels(l, r), budgets)
     return ProductInstance("star", l, r, space, grid)
 
 
@@ -436,11 +424,7 @@ def down_product(
     ]
     masks = _close_under_intersections(gens, (1 << grid.size) - 1, budgets)
     total = count_subspaces(q, n)
-    space = ExplicitSpace(
-        (AtomSet(grid.size, m) for m in masks),
-        atom_labels=_pair_labels(left, right),
-        budgets=budgets,
-    )
+    space = space_from_masks(grid.size, masks, _pair_labels(left, right), budgets)
     return ProductInstance(
         "down",
         left,
@@ -543,25 +527,22 @@ def check_p123(instance: ProductInstance) -> AxiomReport:
     checks.append(AxiomCheck("P2", not p2_witnesses, tuple(p2_witnesses)))
 
     p3_witnesses = []
-    for s in space.family:
-        m = s.mask
+    for m in space.masks:
         if m == 0:
             continue
-        first_coords = {grid.unindex(k)[0] for k in bit_members(m)}
-        if len(first_coords) == 1:
-            (i1,) = first_coords
+        # the lowest atom's row and column are the only ones m can lie in
+        i1, i2 = grid.unindex((m & -m).bit_length() - 1)
+        if m & ~grid.row_full_mask(i1) == 0:
             sec = grid.row_section(m, i1)
             if not r.contains_mask(sec):
                 p3_witnesses.append(
-                    {"set": list(s.members), "row": i1, "section": list(bit_members(sec))}
+                    {"set": list(bit_members(m)), "row": i1, "section": list(bit_members(sec))}
                 )
-        second_coords = {grid.unindex(k)[1] for k in bit_members(m)}
-        if len(second_coords) == 1:
-            (i2,) = second_coords
+        if m & ~grid.col_full_mask(i2) == 0:
             sec = grid.col_section(m, i2)
             if not l.contains_mask(sec):
                 p3_witnesses.append(
-                    {"set": list(s.members), "column": i2, "section": list(bit_members(sec))}
+                    {"set": list(bit_members(m)), "column": i2, "section": list(bit_members(sec))}
                 )
     checks.append(AxiomCheck("P3", not p3_witnesses, tuple(p3_witnesses[:3])))
     return AxiomReport(tuple(checks))

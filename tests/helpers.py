@@ -494,3 +494,54 @@ def nested_p4_failures(instance, left_symmetries, right_symmetries):
             if not _maps_family_into(image, masks, mask_set):
                 bad.append((v1.image, v2.image))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# The scans that the kernel's coatoms, the cross-mask pair relation and the
+# mask test for P3 replaced.
+
+
+def reversed_scan_coatom_masks(space):
+    """Proper members below no larger proper member, found largest first:
+    each member is compared with every coatom found so far."""
+    full, found = space.full_mask(), []
+    for m in reversed(space.masks):
+        if m != full and not any(m & ~c == 0 for c in found):
+            found.append(m)
+    return tuple(reversed(found))
+
+
+def pair_loop_perp_masks(n1, n2, rel1, rel2):
+    """Product-atom perp masks from a loop over every pair of product atoms:
+    orthogonal when either coordinate pair is."""
+    size = n1 * n2
+    perps = [0] * size
+    for k in range(size):
+        p1, p2 = divmod(k, n2)
+        for j in range(k + 1, size):
+            q1, q2 = divmod(j, n2)
+            if rel1.are_orthogonal(p1, q1) or rel2.are_orthogonal(p2, q2):
+                perps[k] |= 1 << j
+                perps[j] |= 1 << k
+    return tuple(perps)
+
+
+def coordinate_set_p3_witnesses(instance):
+    """Every P3 failure in family order, from the sets of first and second
+    coordinates of each member: a member whose points share one row (column)
+    fails when its section is not closed in the matching factor."""
+    n2 = instance.grid.n2
+    out = []
+    for m in instance.space.masks:
+        points = [divmod(k, n2) for k in _members(m)]
+        rows = {i for i, _ in points}
+        cols = {j for _, j in points}
+        if len(rows) == 1:
+            sec = sum(1 << j for _, j in points)
+            if not instance.right.contains_mask(sec):
+                out.append({"set": _members(m), "row": rows.pop(), "section": _members(sec)})
+        if len(cols) == 1:
+            sec = sum(1 << i for i, _ in points)
+            if not instance.left.contains_mask(sec):
+                out.append({"set": _members(m), "column": cols.pop(), "section": _members(sec)})
+    return out

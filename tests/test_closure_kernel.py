@@ -1,13 +1,15 @@
 """The closure kernel and the cover relation of ExplicitSpace against the
 linear family scans they replaced (tests/helpers.py), its coatoms against
-the pairwise oracle and is_coatomistic against the nested coatom scan, on
-the L0 and L1 products and on two seeded atom relabellings of each, with a
-sampled spot check of closure and covers at L2."""
+the pairwise oracle and the reversed scan they replaced, and
+is_coatomistic against the nested coatom scan, on the L0 and L1 products
+and on two seeded atom relabellings of each, with a sampled spot check of
+closure and covers at L2.  The two doors into the kernel, ExplicitSpace and
+space_from_masks, must build the same space."""
 
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, partial
 
 import pytest
 
@@ -19,16 +21,20 @@ from helpers import (
     linear_upper_covers,
     naive_coatoms,
     nested_is_coatomistic,
+    reversed_scan_coatom_masks,
 )
 from qll.atomset import AtomSet
+from qll.budgets import Budgets
 from qll.closure import (
     ExplicitSpace,
     covers,
     find_covering_violation,
     find_dual_covering_violation,
     is_coatomistic,
+    space_from_masks,
     upper_covers,
 )
+from qll.errors import BudgetExceeded, InputError, UniverseMismatch
 from qll.export import export_dot
 from qll.geometry import SubspaceModel
 from qll.harness import resolve_base
@@ -197,3 +203,55 @@ def test_ortho_maps_match_linear_scan(seed, monkeypatch):
     # linear closure, is the oracle
     for om in slow.maps:
         assert verify_orthocomplementation(sp, om).ok, om.to_json()
+
+
+FACTORS = ("mo2", "mo3", "boolean2", "boolean3", "gf3_2", "gf5_2", "gf7_2", "gf3_tensor")
+COATOM_SPACES = {
+    **{name: partial(_base, name) for name in FACTORS},
+    **L2_SPACES,
+    # no universe: the coatoms are the maximal members, {0, 1} and {2}
+    "no universe": lambda: space_from_masks(3, [0, 1, 2, 4, 3]),
+}
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=IDS)
+def test_coatom_masks_match_reversed_scan(name, seed):
+    sp = _space(name, seed)
+    assert sp.coatom_masks() == reversed_scan_coatom_masks(sp)
+
+
+@pytest.mark.parametrize("name", COATOM_SPACES)
+def test_coatom_masks_match_reversed_scan_beyond_products(name):
+    sp = COATOM_SPACES[name]()
+    assert sp.coatom_masks() == reversed_scan_coatom_masks(sp)
+    if name == "no universe":
+        assert sp.coatom_masks() == (0b100, 0b011)
+
+
+def test_both_doors_build_the_same_space():
+    sp = sep_product(_base("mo2"), _base("mo3")).space
+    n, masks = sp.universe_size, sp.masks[::-1] + sp.masks[:5]  # unsorted, repeats
+    labels = [f"a{p}" for p in range(n)]
+    by_masks = space_from_masks(n, masks, labels)
+    by_sets = ExplicitSpace((AtomSet(n, m) for m in masks), labels)
+    assert by_masks.masks == by_sets.masks == sp.masks
+    assert by_masks.family == by_sets.family
+    assert by_masks.atom_labels == by_sets.atom_labels == tuple(labels)
+    assert by_masks == by_sets and hash(by_masks) == hash(by_sets)
+    cap = Budgets(family_cap=len(sp.masks) - 1)
+    for build in (
+        lambda: space_from_masks(n, masks, budgets=cap),
+        lambda: ExplicitSpace((AtomSet(n, m) for m in masks), budgets=cap),
+    ):
+        with pytest.raises(BudgetExceeded) as exc:
+            build()
+        assert exc.value.budget_name == "family_cap"
+    with pytest.raises(InputError):
+        space_from_masks(n, masks, labels[1:])
+
+
+def test_atomset_door_rejects_what_a_family_from_outside_can_carry():
+    with pytest.raises(InputError):
+        ExplicitSpace([])
+    with pytest.raises(UniverseMismatch):
+        ExplicitSpace([AtomSet(2, 0), AtomSet(3, 7)])

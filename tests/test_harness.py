@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from helpers import pair_loop_perp_masks
 from qll.cli import main
 
 from qll.budgets import DEFAULT_BUDGETS
@@ -14,6 +15,7 @@ from qll.harness import (
     TheoremReport,
     list_instances,
     list_theorems,
+    pair_relation,
     resolve_base,
     resolve_instance,
     verify,
@@ -33,6 +35,16 @@ def test_registry_lists_expected_names():
         "gf3_tensor",
     }
     assert set(list_theorems()) == set(THEOREMS)
+
+
+@pytest.mark.parametrize(
+    "left,right", [("mo2", "mo3"), ("gf3_2", "mo2"), ("boolean2", "mo3")]
+)
+def test_pair_relation_matches_pair_loop(left, right):
+    l, r = resolve_base(left), resolve_base(right)
+    n1, n2 = l.space.universe_size, r.space.universe_size
+    rel = pair_relation(n1, n2, l.relation, r.relation)
+    assert rel.perp_masks == pair_loop_perp_masks(n1, n2, l.relation, r.relation)
 
 
 def test_resolve_base_unknown():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import (
+    coordinate_set_p3_witnesses,
     family_as_sets,
     naive_sep_family,
     naive_star_family,
@@ -13,7 +14,12 @@ from helpers import (
 )
 from qll.atomset import AtomSet
 from qll.budgets import DEFAULT_BUDGETS
-from qll.closure import coatoms, powerset_space, validate_simple_closure_space
+from qll.closure import (
+    coatoms,
+    powerset_space,
+    space_from_masks,
+    validate_simple_closure_space,
+)
 from qll.errors import (
     BudgetExceeded,
     ContractViolation,
@@ -22,6 +28,7 @@ from qll.errors import (
 )
 from qll.products import (
     PairGrid,
+    ProductInstance,
     check_p123,
     check_p4,
     down_product,
@@ -249,6 +256,40 @@ def test_p2_detects_missing_cross(mo2, sep_mm):
         assert report.passed
     else:
         assert not report.check("P2").passed
+
+
+def test_p3_witnesses_match_coordinate_set_scan(sep_mm):
+    grid = sep_mm.grid
+    # two points of row 0, of column 0, of row 2 and of column 3: none of
+    # the four sections is closed in mo2, and every intersection is in sep
+    pairs = [((0, 0), (0, 1)), ((0, 0), (1, 0)), ((2, 2), (2, 3)), ((0, 3), (1, 3))]
+    extra = {1 << grid.index(*a) | 1 << grid.index(*b) for a, b in pairs}
+    space = space_from_masks(16, {*sep_mm.space.masks, *extra})
+    damaged = ProductInstance("sep", sep_mm.left, sep_mm.right, space, grid)
+    expected = coordinate_set_p3_witnesses(damaged)
+    assert [("row" in w, "column" in w) for w in expected] == [
+        (True, False), (False, True), (False, True), (True, False)
+    ]
+    p3 = check_p123(damaged).check("P3")
+    assert not p3.passed
+    assert list(p3.witnesses) == expected[:3]
+
+
+def test_builders_hand_masks_to_the_kernel(mo2, mo3, monkeypatch):
+    """sep and top build no AtomSet; the family view is built once, on
+    request."""
+    built = []
+    post_init = AtomSet.__post_init__
+    monkeypatch.setattr(
+        AtomSet, "__post_init__", lambda a: (built.append(a), post_init(a))[1]
+    )
+    for build in (sep_product, materialize_top_product):
+        inst = build(mo2.space, mo3.space)
+        assert built == [], build.__name__
+        family = inst.space.family
+        assert [a.mask for a in built] == list(inst.space.masks)
+        assert inst.space.family is family and len(built) == len(family)
+        built.clear()
 
 
 def test_p4_full_aut_passes_on_sep(mo2, sep_mm):
