@@ -14,12 +14,13 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Budgets:
     # Largest explicit closed-set family we will materialize; intersection
-    # closures check it after each generator.
+    # closures check it after each generator, the section search and the
+    # star family walk at each set found.
     family_cap: int = 2**20
     # Backtracking search nodes (orthocomplementation and automorphism
     # search, and the rows placed by the section search behind the
-    # materialized top and the star generators) and the matrices scanned
-    # for a similitude group.
+    # materialized top and the star generators and by the star family
+    # walk) and the matrices scanned for a similitude group.
     node_cap: int = 10**8
     # Subspaces one enumeration may list: the subspaces of a factor model,
     # and the hyperplane normals of the tensor model behind down.

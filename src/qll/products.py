@@ -21,8 +21,13 @@ strided).  Four constructions on that shared universe:
 top and the star generators are the sets whose rows and columns lie in
 given lists; _section_search finds them row by row, pruning on the column
 prefixes placed so far, and counts each row placed against node_cap.
-sep, star and down are the intersection closures of their generators,
-built one generator at a time by _close_under_intersections.
+sep, star and down are the intersection closures of their generators.
+sep (crosses) and down (hyperplane images) have few generators and are
+built one generator at a time by _close_under_intersections, at
+O(|gens|·|family|) intersections.  star has many more (756 on mo3 x mo3),
+so _generated_family lists its closed sets by a row walk over a
+transposed index of the generators, with work that grows with the family;
+on sep and down that walk is measured slower, so they keep the closure.
 
 All four contain the crosses and have closed sections, so sep <= X <= top
 as families; interval_check certifies those inclusions and exhibits
@@ -219,6 +224,79 @@ def _close_under_intersections(
     return family
 
 
+def _generated_family(
+    gens: Sequence[int],
+    row_options: Sequence[int],
+    n1: int,
+    n2: int,
+    budgets: Budgets,
+) -> list[int]:
+    """The intersections of gens (the full grid, the empty intersection,
+    among them), unordered, by a row walk over a transposed index of gens.
+    Every row of every such intersection must lie in row_options, listed
+    without repeats.
+
+    A set X is an intersection of generators iff each pair q outside X is
+    left out by some generator that contains X (cl(X) = ∧{g : X ⊆ g}).  The
+    walk places rows 0..n1-1 one option at a time and carries live, the
+    generators (as a bitset over gens) that contain the rows placed so far.
+    A child is kept only if every pair left out so far, in this row or an
+    earlier one, is left out by some generator in live.  live only shrinks
+    as rows are added, so a branch that fails this has no member below it;
+    at a leaf live is exactly {g : X ⊆ g}, so every leaf is a member, and
+    each member is reached once, because its rows determine it.  With live
+    empty only the full row passes.  Each row placed counts against node_cap and
+    each leaf against family_cap.
+    """
+    everything = (1 << len(gens)) - 1
+    # contain[k]: the generators holding pair k
+    contain = [0] * (n1 * n2)
+    for gi, g in enumerate(gens):
+        for k in bit_members(g):
+            contain[k] |= 1 << gi
+    # per row i1 and option r: (r placed, generators whose row i1 contains
+    # r, one "generators leaving it out" set per pair of row i1 outside r)
+    steps = []
+    for i1 in range(n1):
+        row = contain[i1 * n2 : (i1 + 1) * n2]
+        options = []
+        for r in row_options:
+            within = everything
+            miss = []
+            for i2, c in enumerate(row):
+                if r >> i2 & 1:
+                    within &= c
+                else:
+                    miss.append(everything & ~c)
+            options.append((r << (i1 * n2), within, tuple(miss)))
+        steps.append(options)
+    keep: list[int] = []
+    nodes = 0
+
+    def walk(k: int, mask: int, live: int, pending: tuple[int, ...]) -> None:
+        nonlocal nodes
+        if k == n1:
+            keep.append(mask)
+            if len(keep) > budgets.family_cap:
+                raise BudgetExceeded("family_cap", budgets.family_cap)
+            return
+        for r, within, miss in steps[k]:
+            e = live & within
+            # the parent kept this node with live, so pending can only fail
+            # where e is smaller
+            if not all(map(e.__and__, miss)) or (
+                e != live and not all(map(e.__and__, pending))
+            ):
+                continue
+            nodes += 1
+            if nodes > budgets.node_cap:
+                raise BudgetExceeded("node_cap", budgets.node_cap)
+            walk(k + 1, mask | r, e, pending + miss)
+
+    walk(0, 0, everything, ())
+    return keep
+
+
 def sep_product(
     left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
@@ -371,7 +449,10 @@ def star_product(
     left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
     """The intersection closure of the star generators and the whole
-    universe.
+    universe, listed by the row walk of _generated_family.  Every row of a
+    generator is a coatom or the whole universe of the second factor, so
+    every row of an intersection is closed there: the rows range over the
+    second factor's family.
 
     The factors must be coatomistic, otherwise the generators need not
     intersect down to the singletons and the result is not a closure space.
@@ -381,8 +462,8 @@ def star_product(
     if not is_coatomistic(l) or not is_coatomistic(r):
         raise ContractViolation("star product requires coatomistic factors")
     grid = PairGrid(l.universe_size, r.universe_size)
-    gens = {g.mask for g in star_generators(l, r, budgets)}
-    masks = _close_under_intersections(gens, (1 << grid.size) - 1, budgets)
+    gens = [g.mask for g in star_generators(l, r, budgets)]
+    masks = _generated_family(gens, r.masks, grid.n1, grid.n2, budgets)
     space = space_from_masks(grid.size, masks, _pair_labels(l, r), budgets)
     return ProductInstance("star", l, r, space, grid)
 

@@ -419,7 +419,19 @@ def test_star_closure_budget(mo2):
             mo2.space, mo2.space, DEFAULT_BUDGETS.with_overrides(family_cap=50)
         )
     assert exc.value.budget_name == "family_cap"
-    assert exc.traceback[-1].name == "_close_under_intersections"
+    assert exc.traceback[-1].name == "walk"
+
+
+def test_star_walk_node_cap(mo2):
+    # the generator search on mo2 x mo2 places 112 rows, the family walk 273;
+    # each draws on its own node_cap, so 200 stops only the walk
+    star_generators(mo2.space, mo2.space, DEFAULT_BUDGETS.with_overrides(node_cap=200))
+    with pytest.raises(BudgetExceeded) as exc:
+        star_product(
+            mo2.space, mo2.space, DEFAULT_BUDGETS.with_overrides(node_cap=200)
+        )
+    assert exc.value.budget_name == "node_cap"
+    assert exc.traceback[-1].name == "walk"
 
 
 def test_materialize_top_budget(mo2):

@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qll.atomset import AtomSet
+from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import ExplicitSpace, powerset_space
 from qll.gf import rref
-from qll.products import PairGrid
+from qll.products import PairGrid, _generated_family
 
 from helpers import grid_set, naive_close_under_intersections
 
@@ -117,6 +118,21 @@ def test_implicit_closure_contains_and_is_closed(top_mm, mask):
     assert a.issubset(c)
     assert implicit.contains(c)
     assert top_mm.space.contains(c)
+
+
+masks9 = st.integers(min_value=0, max_value=2**9 - 1)
+
+
+@given(st.lists(masks9, max_size=8))
+def test_generated_family_is_the_intersection_closure(gens):
+    # every row mask of a 3 x 3 grid is allowed, so the walk must find all
+    # intersections of the generators, the empty one (the full grid) included
+    walked = _generated_family(gens, range(8), 3, 3, DEFAULT_BUDGETS)
+    expected = naive_close_under_intersections(
+        [grid_set(g, 3, 3) for g in gens], grid_set(2**9 - 1, 3, 3)
+    )
+    assert len(walked) == len(set(walked))
+    assert {grid_set(m, 3, 3) for m in walked} == expected
 
 
 matrices = st.lists(
