@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Budgets:
     # Largest explicit closed-set family we will materialize; intersection
-    # closures check it after each generator, the section search and the
-    # star family walk at each set found.
+    # closures check it after each generator, the down flats after each
+    # rank level, the section search and the star family walk at each set
+    # found.
     family_cap: int = 2**20
     # Backtracking search nodes (orthocomplementation and automorphism
     # search, and the rows placed by the section search behind the

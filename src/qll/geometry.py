@@ -95,6 +95,16 @@ class SubspaceModel:
     def atom_count(self) -> int:
         return len(self.atom_table)
 
+    @cached_property
+    def _perp(self) -> dict[Vec, int]:
+        """Every u in GF(q)^n to the atom mask of {v : u·v = 0} under the
+        plain dot product: a hyperplane for u != 0, every atom for u = 0."""
+        q, atoms = self.q, self.atom_table
+        return {
+            u: sum(1 << j for j, v in enumerate(atoms) if dot(u, v, q) == 0)
+            for u in product(range(q), repeat=self.n)
+        }
+
     def form_value(self, u: Vec, v: Vec) -> int:
         return dot(u, mat_vec(self.form, v, self.q), self.q)
 
@@ -346,8 +356,10 @@ def linear_map_coatom(a: Mat, m1: SubspaceModel, m2: SubspaceModel) -> AtomSet:
     """{(p, s) : form2(s, A p) = 0} over factor atom pairs, for a nonzero
     linear map A from the first model's space to the second's.
 
-    Rows with A p = 0 are full; every other row is the hyperplane (A p)^perp.
-    Proportional maps give the same set.
+    form2(s, A p) is the dot product of s with F2 A p, so row p is read off
+    the second model's perp table at F2 A p: the whole row when A p = 0 and
+    the hyperplane (A p)^perp otherwise.  Proportional maps give the same
+    set.
     """
     if len(a) != m2.n or any(len(row) != m1.n for row in a):
         raise InputError(f"map must be {m2.n} x {m1.n}")
@@ -355,12 +367,9 @@ def linear_map_coatom(a: Mat, m1: SubspaceModel, m2: SubspaceModel) -> AtomSet:
         raise InputError("zero map does not define a coatom")
     if m1.q != m2.q:
         raise InputError("factor models must share the field")
-    q = m1.q
-    n2 = m2.atom_count
+    q, n2, perp = m1.q, m2.atom_count, m2._perp
+    fa = mat_mul(m2.form, a, q)
     mask = 0
     for i1, v1 in enumerate(m1.atom_table):
-        w = mat_vec(a, v1, q)
-        for i2, v2 in enumerate(m2.atom_table):
-            if m2.form_value(v2, w) == 0:
-                mask |= 1 << (i1 * n2 + i2)
+        mask |= perp[mat_vec(fa, v1, q)] << (i1 * n2)
     return AtomSet(m1.atom_count * n2, mask)

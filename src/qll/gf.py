@@ -161,12 +161,17 @@ def normalize_point(v: Vec, q: int) -> Vec:
 
 
 def projective_points(q: int, n: int) -> tuple[Vec, ...]:
-    """All normalized points of GF(q)^n, lexicographically sorted."""
-    pts = set()
-    for v in product(range(q), repeat=n):
-        if any(v):
-            pts.add(normalize_point(v, q))
-    return tuple(sorted(pts))
+    """All normalized points of GF(q)^n, lexicographically sorted.
+
+    A normalized point is zeros, then a leading 1 at some position i, then
+    any tail; a later leading 1 sorts first, and tails run in lexicographic
+    order, so the points come out sorted without normalizing or sorting.
+    """
+    return tuple(
+        (0,) * i + (1,) + tail
+        for i in reversed(range(n))
+        for tail in product(range(q), repeat=n - 1 - i)
+    )
 
 
 def rref_matrices(q: int, n: int, dim: int) -> "list[Mat]":

@@ -12,9 +12,8 @@ strided).  Four constructions on that shared universe:
   Materialization is the section search over the two factor families.
 * down: images of tensor-model subspaces under sigma_down (the pairs whose
   product vector lies in the subspace), for factors given as finite-field
-  models.  sigma_down preserves intersections and every subspace is an
-  intersection of hyperplanes, so the images of the hyperplanes generate
-  the family.
+  models.  They are the flats of the matroid on the product vectors, of
+  rank n = d1·d2 <= 4, and the hyperplane images are its hyperplanes.
 * star: intersections of the generator sets whose rows are coatoms-or-full
   in the second factor and columns coatoms-or-full in the first.
 
@@ -22,12 +21,15 @@ top and the star generators are the sets whose rows and columns lie in
 given lists; _section_search finds them row by row, pruning on the column
 prefixes placed so far, and counts each row placed against node_cap.
 sep, star and down are the intersection closures of their generators.
-sep (crosses) and down (hyperplane images) have few generators and are
-built one generator at a time by _close_under_intersections, at
-O(|gens|·|family|) intersections.  star has many more (756 on mo3 x mo3),
-so _generated_family lists its closed sets by a row walk over a
-transposed index of the generators, with work that grows with the family;
-on sep and down that walk is measured slower, so they keep the closure.
+sep has few (the crosses) and is built one generator at a time by
+_close_under_intersections, at O(|gens|·|family|) intersections.  star
+has many more (756 on mo3 x mo3), so _generated_family lists its closed
+sets by a row walk over a transposed index of the generators, with work
+that grows with the family; on sep that walk is measured slower, so it
+keeps the closure.  down reads its generators row by row from a perp
+table, and _flats lists its flats rank by rank from the same kind of
+index: only flats of rank up to n - 2 are closures to compute, since
+those of rank n - 1 are the generators.
 
 All four contain the crosses and have closed sections, so sep <= X <= top
 as families; interval_check certifies those inclusions and exhibits
@@ -37,6 +39,7 @@ witnesses when they are strict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from .atomset import AtomSet, bit_members, canonical_mask_key
@@ -247,6 +250,10 @@ def _generated_family(
     each member is reached once, because its rows determine it.  With live
     empty only the full row passes.  Each row placed counts against node_cap and
     each leaf against family_cap.
+
+    star is built this way.  Timed directly, the walk is slower than
+    _close_under_intersections on sep's crosses and slower than _flats on
+    down's hyperplane images.
     """
     everything = (1 << len(gens)) - 1
     # contain[k]: the generators holding pair k
@@ -468,25 +475,108 @@ def star_product(
     return ProductInstance("star", l, r, space, grid)
 
 
+def _hyperplane_images(m1: "SubspaceModel", m2: "SubspaceModel") -> list[int]:
+    """The pairs whose product vector x has w·x = 0, for every projective
+    point w of the tensor model in order.
+
+    Read w as a d1 x d2 matrix W: then w·(v1 ⊗ v2) = u·v2 with u = v1ᵀW,
+    whose entries are v1 dotted with the columns of W.  So row i1 of the
+    image is u^perp in the second factor, one lookup in its perp table (the
+    whole row when u = 0).
+    """
+    from .gf import projective_points
+
+    q, d2, n2, perp = m1.q, m2.n, m2.atom_count, m2._perp
+    gens = []
+    for w in projective_points(q, m1.n * d2):
+        cols = [w[j::d2] for j in range(d2)]
+        mask = 0
+        for i1, v1 in enumerate(m1.atom_table):
+            u = tuple(sum(map(mul, v1, c)) % q for c in cols)
+            mask |= perp[u] << (i1 * n2)
+        gens.append(mask)
+    return gens
+
+
+def _flats(gens: Sequence[int], size: int, rank: int, budgets: Budgets) -> set[int]:
+    """The flats of a rank-`rank` matroid on `size` points, unordered, given
+    gens, every flat of rank rank-1 (other flats among them are allowed).
+
+    Every flat is an intersection of such hyperplanes, so cl(X) = ∧{g : X ⊆ g}.
+    A transposed index makes that a lookup: contain[k] marks the generators
+    holding point k, and the AND of contain over X marks those holding X.
+    The flats of rank r + 1 are cl(f ∪ {p}) for f of rank r and p outside f,
+    and the ones above f partition the points outside it, so p is skipped
+    once a closure already found from f holds it.  For r >= 1, a flat F of
+    rank r + 1 is also reached from a rank-r flat inside it that holds m,
+    F's lowest point outside cl(∅), and from there every point of F it
+    lacks lies above m; so from f only the points above f's lowest point
+    outside cl(∅) are tried.  Going up from cl(∅) that way lists the flats
+    of rank up to rank-2; those of rank rank-1 are generators and the only
+    one of rank `rank` is the whole set.  family_cap is checked after each
+    rank level.
+    """
+    full = (1 << size) - 1
+    everything = (1 << len(gens)) - 1
+    contain = [0] * size
+    for gi, g in enumerate(gens):
+        for k in bit_members(g):
+            contain[k] |= 1 << gi
+
+    def close(live: int) -> int:
+        out = full
+        for gi in bit_members(live):
+            out &= gens[gi]
+        return out
+
+    bottom = close(everything)
+    # each flat of the current level with the generators that hold it
+    level = {bottom: everything}
+    family = {bottom}
+    for _ in range(rank - 2):
+        above: dict[int, int] = {}
+        for f, live in level.items():
+            rest = f & ~bottom
+            seen = f | (rest & -rest) - 1 if rest else f
+            for p in bit_members(full & ~seen):
+                if seen >> p & 1:
+                    continue
+                grown = live & contain[p]
+                c = close(grown)
+                seen |= c
+                above[c] = grown
+        level = above
+        family.update(level)
+        if len(family) > budgets.family_cap:
+            raise BudgetExceeded("family_cap", budgets.family_cap)
+    family.update(gens)
+    family.add(full)
+    if len(family) > budgets.family_cap:
+        raise BudgetExceeded("family_cap", budgets.family_cap)
+    return family
+
+
 def down_product(
     m1: "SubspaceModel", m2: "SubspaceModel", budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
-    """The sigma_down images of the tensor-model subspaces, generated by the
-    images of the hyperplanes.
+    """The sigma_down images of the tensor-model subspaces: the flats of the
+    matroid on the product vectors of the factor atom pairs.
 
-    sigma_down(S ∩ T) = sigma_down(S) ∩ sigma_down(T), and every subspace is
-    an intersection of hyperplanes, so the family is the intersection
-    closure of the hyperplane images; no other subspace is enumerated.  The
-    hyperplanes are the kernels w·x = 0 of the (q^N - 1)/(q - 1) projective
-    points w, so the image of one is the set of pairs whose product vector
-    x has w·x = 0.
+    The image of a subspace S is the set of pairs whose product vector lies
+    in S, which is a flat, and every flat F is the image of span(F).  The
+    product vectors span the tensor model, so the matroid has rank
+    n = d1·d2, at most 4 since every anisotropic factor has dimension at
+    most 2.  Its hyperplanes are the images of the (q^n - 1)/(q - 1)
+    hyperplanes w·x = 0 of the tensor model, built row by row from the
+    second factor's perp table; _flats lists the rest from them.  No
+    subspace is enumerated.
 
     Distinct subspaces can share an image (every entangled line maps to the
     empty set, for one).  notes counts all subspaces of the tensor model,
     the distinct images and the difference (the collisions).
     """
     from .geometry import build_projective_space, tensor_model
-    from .gf import count_subspaces, dot, kron_vec, projective_points
+    from .gf import count_subspaces
 
     left, _ = build_projective_space(m1, budgets)
     right, _ = build_projective_space(m2, budgets)
@@ -495,15 +585,7 @@ def down_product(
     q, n = tm.q, tm.n
     if (q**n - 1) // (q - 1) > budgets.subspace_cap:
         raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
-    # product vectors in pair order i1 * n2 + i2
-    pair_vectors = [
-        kron_vec(v1, v2, q) for v1 in m1.atom_table for v2 in m2.atom_table
-    ]
-    gens = [
-        sum(1 << k for k, x in enumerate(pair_vectors) if dot(w, x, q) == 0)
-        for w in projective_points(q, n)
-    ]
-    masks = _close_under_intersections(gens, (1 << grid.size) - 1, budgets)
+    masks = _flats(_hyperplane_images(m1, m2), grid.size, n, budgets)
     total = count_subspaces(q, n)
     space = space_from_masks(grid.size, masks, _pair_labels(left, right), budgets)
     return ProductInstance(

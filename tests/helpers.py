@@ -294,8 +294,8 @@ def linear_dual_covering_violation(space):
 # ---------------------------------------------------------------------------
 # Slow constructors: the product builders that the generator-at-a-time
 # intersection closure, the section search (for top and for the star
-# generators) and the hyperplane generators replaced.  They return mask
-# tuples in canonical family order.
+# generators), the hyperplane generators and the perp-table row lookups
+# replaced.  Unless noted they return mask tuples in canonical family order.
 
 
 def _canonical(masks):
@@ -401,6 +401,45 @@ def full_enumeration_down(m1, m2):
         "collisions": len(images) - len(distinct),
     }
     return _canonical(distinct), notes
+
+
+def dot_hyperplane_images(m1, m2):
+    """For every projective point w of the tensor model, in order, the pairs
+    whose product vector x has w.x = 0, by one tuple dot product per pair:
+    the generators down_product now reads row by row from a perp table."""
+    from qll.gf import dot, kron_vec, projective_points
+
+    q = m1.q
+    vectors = [kron_vec(v1, v2, q) for v1 in m1.atom_table for v2 in m2.atom_table]
+    return [
+        sum(1 << k for k, x in enumerate(vectors) if dot(w, x, q) == 0)
+        for w in projective_points(q, m1.n * m2.n)
+    ]
+
+
+def pair_loop_linear_map_coatom(a, m1, m2):
+    """{(p, s) : form2(s, A p) = 0} as a pair mask, one form evaluation per
+    pair of factor atoms."""
+    from qll.gf import mat_vec
+
+    n2 = m2.atom_count
+    mask = 0
+    for i1, v1 in enumerate(m1.atom_table):
+        w = mat_vec(a, v1, m1.q)
+        for i2, v2 in enumerate(m2.atom_table):
+            if m2.form_value(v2, w) == 0:
+                mask |= 1 << (i1 * n2 + i2)
+    return mask
+
+
+def normalize_and_sort_projective_points(q, n):
+    """Every nonzero vector of GF(q)^n normalized to a leading 1, without
+    repeats, sorted."""
+    from qll.gf import normalize_point
+
+    return tuple(
+        sorted({normalize_point(v, q) for v in product(range(q), repeat=n) if any(v)})
+    )
 
 
 # ---------------------------------------------------------------------------

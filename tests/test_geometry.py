@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from helpers import family_as_sets, naive_span
+from helpers import family_as_sets, naive_span, pair_loop_linear_map_coatom
 from qll.atomset import AtomSet
 from qll.errors import DegenerateFormError, InputError, IsotropicAtomError
 from qll.geometry import (
@@ -22,6 +24,7 @@ from qll.geometry import (
 from qll.automorphisms import is_transitive, orbits
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import BudgetExceeded
+from qll.gf import projective_points
 
 
 def test_model_creation_validates():
@@ -182,3 +185,18 @@ def test_linear_map_coatom_hand_value(gf3_2):
     assert set(c.members) == expected
     with pytest.raises(InputError):
         linear_map_coatom(((0, 0), (0, 0)), model, model)
+
+
+@pytest.mark.parametrize(
+    "q,form", [(3, None), (5, ((1, 0), (0, 2))), (7, None)], ids=["gf3_2", "gf5_2", "gf7_2"]
+)
+def test_linear_map_coatom_matches_pair_loop(q, form):
+    # every nonzero 2 x 2 map up to scale over GF(3); over GF(5) and GF(7) a
+    # seeded sample of 40 and a rank-one map, whose kernel row is full
+    model = SubspaceModel.create(q, 2, form)
+    maps = [(w[:2], w[2:]) for w in projective_points(q, 4)]
+    if len(maps) > 40:
+        maps = random.Random(q).sample(maps, 40) + [((0, 0), (1, 3))]
+    for a in maps:
+        got = linear_map_coatom(a, model, model).mask
+        assert got == pair_loop_linear_map_coatom(a, model, model), a

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import naive_span
+from helpers import naive_span, normalize_and_sort_projective_points
 from qll.errors import InputError
 from qll.gf import (
     count_subspaces,
@@ -101,6 +101,12 @@ def test_projective_point_counts():
     pts = projective_points(3, 2)
     assert pts == tuple(sorted(pts))
     assert all(p[next(i for i, x in enumerate(p) if x)] == 1 for p in pts)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projective_points_match_normalize_and_sort(q, n):
+    assert projective_points(q, n) == normalize_and_sort_projective_points(q, n)
 
 
 def test_subspace_enumeration_counts():

@@ -3,17 +3,20 @@
 row-assignment enumeration for top, the feasible-column search for the star
 generators and the full subspace enumeration for down, on the L0 and L1
 factors.  The row walk behind star is also checked against the
-one-generator-at-a-time closure that sep and down use, on all three
-generator kinds."""
+one-generator-at-a-time closure that sep uses, on all three generator
+kinds, and down's hyperplane images and flats against the dot-product
+images and their closure."""
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from helpers import (
     cross_masks,
+    dot_hyperplane_images,
     feasible_column_star_generators,
     full_enumeration_down,
     pairwise_close_under_intersections,
@@ -22,12 +25,14 @@ from helpers import (
 from qll.atomset import canonical_mask_key
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import BudgetExceeded
-from qll.geometry import SubspaceModel, build_projective_space, tensor_model
-from qll.gf import dot, kron_vec, projective_points
+from qll.geometry import SubspaceModel, build_projective_space
+from qll.gf import dot, projective_points, rank
 from qll.harness import resolve_base
 from qll.products import (
     _close_under_intersections,
+    _flats,
     _generated_family,
+    _hyperplane_images,
     down_product,
     materialize_top_product,
     sep_product,
@@ -106,15 +111,66 @@ def test_walk_matches_closure_on_hyperplane_images(name):
     # second factor, so they lie in its family
     model = resolve_base(name).model
     right, _ = build_projective_space(model)
-    q, n = model.q, tensor_model(model, model).n
-    vectors = [kron_vec(v1, v2, q) for v1 in model.atom_table for v2 in model.atom_table]
-    gens = {
-        sum(1 << k for k, x in enumerate(vectors) if dot(w, x, q) == 0)
-        for w in projective_points(q, n)
-    }
+    gens = set(dot_hyperplane_images(model, model))
     size = right.universe_size
     walked, closed = _walk_and_closure(gens, right.masks, size, size)
     assert walked == closed
+
+
+GF_PLANES = ["gf3_2", "gf5_2", "gf7_2"]
+
+
+@pytest.mark.parametrize("name", GF_PLANES)
+def test_hyperplane_images_match_dot_products(name):
+    model = resolve_base(name).model
+    assert _hyperplane_images(model, model) == dot_hyperplane_images(model, model)
+
+
+@pytest.mark.parametrize("name", GF_PLANES)
+def test_down_flats_match_generator_closure(name):
+    model = resolve_base(name).model
+    size = model.atom_count**2
+    closed = _close_under_intersections(
+        dot_hyperplane_images(model, model), (1 << size) - 1, DEFAULT_BUDGETS
+    )
+    expected = tuple(sorted(closed, key=canonical_mask_key))
+    assert down_product(model, model).space.masks == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flats_match_closure_on_vector_matroids(seed):
+    # random points of GF(3)^4 with a loop (the zero vector) and a repeated
+    # point, which product vectors never have; odd seeds stay in a
+    # hyperplane, so the matroid's rank is below the dimension
+    rng = random.Random(seed)
+    q, d = 3, 4
+    vectors = [
+        tuple(rng.randrange(q) for _ in range(d - seed % 2)) + (0,) * (seed % 2)
+        for _ in range(10)
+    ]
+    loop, copy, original = rng.sample(range(10), 3)
+    vectors[loop] = (0,) * d
+    vectors[copy] = vectors[original]
+    gens = [
+        sum(1 << k for k, x in enumerate(vectors) if dot(w, x, q) == 0)
+        for w in projective_points(q, d)
+    ]
+    size = len(vectors)
+    expected = _close_under_intersections(gens, (1 << size) - 1, DEFAULT_BUDGETS)
+    assert _flats(gens, size, rank(vectors, q), DEFAULT_BUDGETS) == expected
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["gf3_2,gf3_1", "gf3_1,gf3_2"])
+def test_down_unequal_dimensions_match_full_enumeration(swap):
+    # a rank-2 matroid on 4 points, and W not square
+    m1, m2 = SubspaceModel.create(3, 2), SubspaceModel.create(3, 1)
+    if swap:
+        m1, m2 = m2, m1
+    masks, notes = full_enumeration_down(m1, m2)
+    inst = down_product(m1, m2)
+    assert _hyperplane_images(m1, m2) == dot_hyperplane_images(m1, m2)
+    assert inst.space.masks == masks
+    assert inst.notes == notes
 
 
 def family_digest(masks) -> str:
@@ -130,6 +186,18 @@ def test_star_mo3_mo3_family_is_pinned():
     masks = star_product(*_factors("mo3", "mo3")).space.masks
     assert len(masks) == 9056
     assert family_digest(masks) == "8d1e323c186bb06f"
+
+
+def test_down_gf7_family_is_pinned():
+    model = resolve_base("gf7_2").model
+    inst = down_product(model, model)
+    assert len(inst.space.masks) == 2050
+    assert family_digest(inst.space.masks) == "89ff8f985198393d"
+    assert inst.notes == {
+        "subspaces": 3652,
+        "distinct_images": 2050,
+        "collisions": 1602,
+    }
 
 
 def test_star_generators_node_cap():

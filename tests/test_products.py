@@ -42,6 +42,7 @@ from qll.products import (
 )
 from qll.automorphisms import AtomPermutation, automorphism_chain, automorphism_group
 from qll.geometry import similitude_group
+from qll.harness import resolve_base
 
 
 def _mo2_sets(mo2):
@@ -411,6 +412,16 @@ def test_down_hyperplanes_need_budget(gf3_2, cap):
         )
     assert exc.value.budget_name == "subspace_cap"
     assert exc.traceback[-1].name == "down_product"
+
+
+def test_down_flats_budget():
+    # down(gf5_2, gf5_2) has 656 sets, so space_from_masks would stop at 600
+    # too; the flats enumeration must stop first
+    model = resolve_base("gf5_2").model
+    with pytest.raises(BudgetExceeded) as exc:
+        down_product(model, model, DEFAULT_BUDGETS.with_overrides(family_cap=600))
+    assert exc.value.budget_name == "family_cap"
+    assert exc.traceback[-1].name == "_flats"
 
 
 def test_star_closure_budget(mo2):
