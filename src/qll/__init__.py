@@ -17,10 +17,8 @@ from .closure import (
     covers,
     find_covering_violation,
     find_dual_covering_violation,
-    has_covering_property,
     is_atomistic,
     is_coatomistic,
-    is_dac,
     join,
     meet,
     powerset_space,
@@ -46,11 +44,9 @@ from .ortho import (
     OrthogonalityRelation,
     OrthoMap,
     OrthoSearchResult,
-    cal0sym_condition,
     find_orthocomplementations,
     find_orthomodularity_violation,
     four_atom_condition,
-    is_orthomodular,
     ortho_from_atom_orthogonality,
     third_atom_condition,
     verify_orthocomplementation,
@@ -60,14 +56,12 @@ from .geometry import (
     Subspace,
     build_projective_space,
     enumerate_subspaces,
-    isometry_group,
     linear_map_coatom,
     mo_lattice,
     orthogonal_complement,
     sigma_down,
     similitude_group,
     tensor_model,
-    tensor_similitudes,
 )
 from .products import (
     AxiomReport,
@@ -79,22 +73,18 @@ from .products import (
     down_product,
     interval_check,
     materialize_top_product,
-    sections,
     sep_product,
     star_generators,
     star_product,
     top_product,
-    validate_instance,
 )
 from .automorphisms import (
     AtomPermutation,
     Decomposition,
     automorphism_group,
     decompose_automorphism,
-    dual_automorphism,
     induced_product_automorphism,
     is_automorphism,
-    is_transitive,
     orbits,
 )
 from .export import export_dot

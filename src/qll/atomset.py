@@ -95,10 +95,6 @@ class AtomSet:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return canonical_mask_key(self.mask)
-
     def issubset(self, other: "AtomSet") -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0

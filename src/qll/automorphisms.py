@@ -42,7 +42,6 @@ from .errors import (
     InducedMapNotAutomorphism,
     InputError,
 )
-from .ortho import OrthoMap, verify_orthocomplementation
 
 if TYPE_CHECKING:
     from .products import ProductInstance
@@ -279,11 +278,6 @@ def automorphism_group(
     return [AtomPermutation(img) for img in sorted(chain.elements())]
 
 
-def is_transitive(perms: Sequence[AtomPermutation], universe_size: int) -> bool:
-    """Single orbit on atoms under the given permutations."""
-    return len(orbits(perms, universe_size)) <= 1
-
-
 def orbits(perms: Sequence[AtomPermutation], universe_size: int) -> tuple[tuple[int, ...], ...]:
     seen: set[int] = set()
     out = []
@@ -432,23 +426,3 @@ def induced_product_automorphism(
             },
         )
     return AtomPermutation(image)
-
-
-def dual_automorphism(
-    space: ClosureSpace, ortho: OrthoMap, u: AtomPermutation
-) -> tuple[tuple[AtomSet, AtomSet], ...]:
-    """The map a -> (u(a'))' on closed sets, as canonical (source, image) pairs.
-
-    u must be an automorphism and the ortho map must verify, or
-    ContractViolation is raised.  The map is then a join-preserving
-    bijection of the family by construction: it composes two order-reversing
-    bijections (a -> a') with an order-preserving one (u).
-    """
-    sp = _require_explicit(space, "dual_automorphism")
-    if not is_automorphism(sp, u):
-        raise ContractViolation("u is not an automorphism of the space")
-    verdict = verify_orthocomplementation(sp, ortho)
-    if not verdict.ok:
-        raise ContractViolation(f"ortho map fails law '{verdict.law}'")
-    n, comp = sp.universe_size, ortho.complement_mask
-    return tuple((AtomSet(n, m), AtomSet(n, comp(u.apply_mask(comp(m))))) for m in sp.masks)

@@ -149,7 +149,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "coatomistic": coatomistic,
             "covering": cov is None,
             "dual_covering": dual is None,
-            # is_dac from the four results above, not computed again
+            # dac is the conjunction of the four results above
             "dac": atomistic and coatomistic and cov is None and dual is None,
             "witness": None if dual is None else dual.to_json(),
         }

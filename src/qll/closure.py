@@ -159,11 +159,6 @@ class ClosureSpace:
     def full_mask(self) -> int:
         return (1 << self.universe_size) - 1
 
-    def atoms(self) -> tuple[AtomSet, ...]:
-        return tuple(
-            AtomSet.singleton(self.universe_size, i) for i in range(self.universe_size)
-        )
-
     def label(self, atom: int) -> str:
         if self.atom_labels is not None:
             return self.atom_labels[atom]
@@ -529,16 +524,12 @@ def find_covering_violation(space: ClosureSpace) -> CoveringViolation | None:
     return None
 
 
-def has_covering_property(space: ClosureSpace) -> bool:
-    return find_covering_violation(space) is None
-
-
 def is_atomistic(space: ClosureSpace) -> bool:
     """Every closed set is the join of the atoms below it.
 
     Always True for an explicit space: each member is a set of atoms and,
     being one of the closed sets it is intersected over, its own closure.
-    Kept so reports and is_dac can name the property.
+    Kept so reports and `qll check --property dac` can name the property.
     """
     _require_explicit(space, "is_atomistic")
     return True
@@ -623,17 +614,6 @@ def find_dual_covering_violation(space: ClosureSpace) -> DualCoveringViolation |
     return None
 
 
-def is_dac(space: ClosureSpace) -> bool:
-    """True iff the lattice and its order dual are both atomistic with the
-    covering property."""
-    return (
-        is_atomistic(space)
-        and has_covering_property(space)
-        and is_coatomistic(space)
-        and find_dual_covering_violation(space) is None
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON
 
@@ -642,7 +622,7 @@ def space_to_json(space: ClosureSpace) -> dict:
     sp = _require_explicit(space, "space_to_json")
     out: dict = {
         "universe": sp.universe_size,
-        "closed_sets": [list(s.members) for s in sp.family],
+        "closed_sets": [list(bit_members(m)) for m in sp.masks],
     }
     if sp.atom_labels is not None:
         out["atom_labels"] = list(sp.atom_labels)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .atomset import bit_members
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import ClosureSpace, _require_explicit
 from .errors import BudgetExceeded
@@ -31,8 +32,8 @@ def export_dot(
     ]
 
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box, fontsize=10];']
-    for i, s in enumerate(sp.family):
-        lines.append(f'  n{i} [label="{_node_label(sp, s.members)}"];')
+    for i, m in enumerate(masks):
+        lines.append(f'  n{i} [label="{_node_label(sp, bit_members(m))}"];')
     atom_nodes = [idx[1 << a] for a in range(sp.universe_size) if (1 << a) in idx]
     if atom_nodes:
         lines.append("  { rank=same; " + " ".join(f"n{i};" for i in atom_nodes) + " }")
@@ -40,10 +41,3 @@ def export_dot(
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def count_dot_elements(dot: str) -> tuple[int, int]:
-    """(nodes, edges) of a digraph produced by export_dot; used in tests."""
-    nodes = sum(1 for line in dot.splitlines() if "[label=" in line)
-    edges = sum(1 for line in dot.splitlines() if "->" in line)
-    return nodes, edges

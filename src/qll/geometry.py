@@ -22,7 +22,7 @@ from itertools import product
 
 from .atomset import AtomSet
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .closure import ClosureSpace, ExplicitSpace, space_from_masks
+from .closure import ExplicitSpace, space_from_masks
 from .errors import (
     BudgetExceeded,
     DegenerateFormError,
@@ -51,7 +51,6 @@ from .gf import (
 )
 from .ortho import OrthogonalityRelation
 from .automorphisms import AtomPermutation
-from .products import PairGrid
 
 
 @dataclass(frozen=True)
@@ -107,9 +106,6 @@ class SubspaceModel:
 
     def form_value(self, u: Vec, v: Vec) -> int:
         return dot(u, mat_vec(self.form, v, self.q), self.q)
-
-    def index_of(self, v: Vec) -> int:
-        return self.atom_index[normalize_point(v, self.q)]
 
     def to_json(self) -> dict:
         return {"q": self.q, "n": self.n, "form": [list(r) for r in self.form]}
@@ -278,29 +274,6 @@ def mo_lattice(n: int) -> tuple[ExplicitSpace, OrthogonalityRelation]:
     return space_from_masks(size, masks), rel
 
 
-def _group_from_matrices(
-    model: SubspaceModel, keep: "callable", budgets: Budgets
-) -> list[AtomPermutation]:
-    q, n = model.q, model.n
-    total = q ** (n * n)
-    if total > budgets.node_cap:
-        raise BudgetExceeded("node_cap", budgets.node_cap)
-    atoms = model.atom_table
-    index = model.atom_index
-    perms = set()
-    for entries in product(range(q), repeat=n * n):
-        g = tuple(entries[i * n : (i + 1) * n] for i in range(n))
-        if rank(g, q) != n:
-            continue
-        if not keep(g):
-            continue
-        image = tuple(
-            index[normalize_point(mat_vec(g, v, q), q)] for v in atoms
-        )
-        perms.add(image)
-    return [AtomPermutation(img) for img in sorted(perms)]
-
-
 def _form_multiplier(model: SubspaceModel, g: Mat) -> int | None:
     """The scalar c with g^T F g = c F, or None if no such scalar exists."""
     q = model.q
@@ -325,30 +298,22 @@ def _form_multiplier(model: SubspaceModel, g: Mat) -> int | None:
 def similitude_group(
     model: SubspaceModel, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list[AtomPermutation]:
-    """Projective action of all invertible g with g^T F g = c F, c != 0."""
-    return _group_from_matrices(
-        model, lambda g: _form_multiplier(model, g) is not None, budgets
-    )
-
-
-def isometry_group(
-    model: SubspaceModel, budgets: Budgets = DEFAULT_BUDGETS
-) -> list[AtomPermutation]:
-    """Projective action of the form-preserving matrices (multiplier 1)."""
-    return _group_from_matrices(
-        model, lambda g: _form_multiplier(model, g) == 1, budgets
-    )
-
-
-def tensor_similitudes(
-    m1: SubspaceModel, m2: SubspaceModel, budgets: Budgets = DEFAULT_BUDGETS
-) -> list[AtomPermutation]:
-    """Pairs action on factor atom pairs: (p1, p2) -> (g1 p1, g2 p2), for g1,
-    g2 ranging over the factor similitude groups."""
-    g1s = similitude_group(m1, budgets)
-    g2s = similitude_group(m2, budgets)
-    grid = PairGrid(m1.atom_count, m2.atom_count)
-    perms = {grid.pair_image(g1, g2) for g1 in g1s for g2 in g2s}
+    """Projective action of all invertible g with g^T F g = c F, c != 0,
+    sorted by image tuple.  All q^(n*n) matrices are tried, against
+    node_cap."""
+    q, n = model.q, model.n
+    if q ** (n * n) > budgets.node_cap:
+        raise BudgetExceeded("node_cap", budgets.node_cap)
+    atoms = model.atom_table
+    index = model.atom_index
+    perms = set()
+    for entries in product(range(q), repeat=n * n):
+        g = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        if rank(g, q) != n or _form_multiplier(model, g) is None:
+            continue
+        perms.add(
+            tuple(index[normalize_point(mat_vec(g, v, q), q)] for v in atoms)
+        )
     return [AtomPermutation(img) for img in sorted(perms)]
 
 

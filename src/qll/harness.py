@@ -609,7 +609,7 @@ def _pipeline_down_properties(
     _witness_check(
         checks, certs, "dual_covering_fails", dual, True, "dual_covering_witness"
     )
-    # is_dac from the four results above, not computed again
+    # dac is the conjunction of the four results above
     dac = atomistic and coatomistic and cov is None and dual is None
     checks.append(_check("not_dac", not dac))
 

@@ -407,10 +407,6 @@ def find_orthomodularity_violation(
     return None
 
 
-def is_orthomodular(space: ClosureSpace, ortho: OrthoMap) -> bool:
-    return find_orthomodularity_violation(space, ortho) is None
-
-
 # ---------------------------------------------------------------------------
 # atom-configuration conditions used as theorem hypotheses
 
@@ -447,26 +443,3 @@ def four_atom_condition(space: ClosureSpace) -> bool:
 def covers_atom(space: ExplicitSpace, atom: int, upper: int) -> bool:
     """True iff the closed set with mask upper covers the singleton {atom}."""
     return upper in space.upper_cover_masks(1 << atom)
-
-
-def cal0sym_condition(space: ClosureSpace) -> bool:
-    """For any coatoms x, y and atoms p, q there are an atom r outside x ∪ y
-    and a coatom z avoiding both p and q.
-
-    The two witnesses are independent, so the check splits: no coatom pair
-    may cover the universe, and every atom pair must miss some coatom.
-    """
-    sp = _require_explicit(space, "cal0sym_condition")
-    cms = sp.coatom_masks()
-    full = sp.full_mask()
-    for i, x in enumerate(cms):
-        for y in cms[i:]:
-            if x | y == full:
-                return False
-    n = sp.universe_size
-    for p in range(n):
-        for q in range(p, n):
-            pq = (1 << p) | (1 << q)
-            if not any(cm & pq == 0 for cm in cms):
-                return False
-    return True

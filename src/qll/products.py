@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .atomset import AtomSet, bit_members, canonical_mask_key
 from .automorphisms import AtomPermutation, first_unpreserved
@@ -49,15 +49,14 @@ from .closure import (
     ClosureSpace,
     ImplicitSpace,
     _require_explicit,
+    _transpose,
     is_coatomistic,
     space_from_masks,
     space_to_json,
-    validate_simple_closure_space,
 )
 from .errors import BudgetExceeded, ContractViolation, InputError
-
-if TYPE_CHECKING:
-    from .geometry import SubspaceModel
+from .geometry import SubspaceModel, build_projective_space, tensor_model
+from .gf import count_subspaces, projective_points
 
 
 class PairGrid:
@@ -143,23 +142,6 @@ class PairGrid:
         return mask
 
 
-def sections(
-    r: AtomSet, p: tuple[int, int], n1: int, n2: int
-) -> tuple[AtomSet, AtomSet]:
-    """The two sections of r through the pair p = (p1, p2): first the set of
-    first coordinates {s : (s, p2) in r}, then {t : (p1, t) in r}."""
-    if r.universe_size != n1 * n2:
-        raise InputError("set does not live in the pair universe")
-    p1, p2 = p
-    if not (0 <= p1 < n1 and 0 <= p2 < n2):
-        raise InputError(f"pair {p} outside {n1} x {n2}")
-    grid = PairGrid(n1, n2)
-    return (
-        AtomSet(n1, grid.col_section(r.mask, p2)),
-        AtomSet(n2, grid.row_section(r.mask, p1)),
-    )
-
-
 @dataclass
 class ProductInstance:
     """A product construction together with its factors and pairing."""
@@ -169,7 +151,7 @@ class ProductInstance:
     right: ClosureSpace
     space: ClosureSpace
     grid: PairGrid
-    models: "tuple[SubspaceModel, SubspaceModel] | None" = None
+    models: tuple[SubspaceModel, SubspaceModel] | None = None
     notes: dict = field(default_factory=dict)
 
     @property
@@ -177,9 +159,6 @@ class ProductInstance:
         return tuple(
             self.grid.unindex(k) for k in range(self.grid.size)
         )
-
-    def sections(self, r: AtomSet, p: tuple[int, int]) -> tuple[AtomSet, AtomSet]:
-        return sections(r, p, self.grid.n1, self.grid.n2)
 
     def to_json(self) -> dict:
         out: dict = {
@@ -189,7 +168,7 @@ class ProductInstance:
             "pairing": [list(p) for p in self.pairing],
         }
         if self.space.is_explicit:
-            out["family"] = [list(s.members) for s in self.space.family]
+            out["family"] = [list(bit_members(m)) for m in self.space.masks]
         else:
             out["backend"] = "implicit"
         if self.models is not None:
@@ -257,10 +236,7 @@ def _generated_family(
     """
     everything = (1 << len(gens)) - 1
     # contain[k]: the generators holding pair k
-    contain = [0] * (n1 * n2)
-    for gi, g in enumerate(gens):
-        for k in bit_members(g):
-            contain[k] |= 1 << gi
+    contain = _transpose(tuple(gens), n1 * n2)
     # per row i1 and option r: (r placed, generators whose row i1 contains
     # r, one "generators leaving it out" set per pair of row i1 outside r)
     steps = []
@@ -475,7 +451,7 @@ def star_product(
     return ProductInstance("star", l, r, space, grid)
 
 
-def _hyperplane_images(m1: "SubspaceModel", m2: "SubspaceModel") -> list[int]:
+def _hyperplane_images(m1: SubspaceModel, m2: SubspaceModel) -> list[int]:
     """The pairs whose product vector x has w·x = 0, for every projective
     point w of the tensor model in order.
 
@@ -484,8 +460,6 @@ def _hyperplane_images(m1: "SubspaceModel", m2: "SubspaceModel") -> list[int]:
     image is u^perp in the second factor, one lookup in its perp table (the
     whole row when u = 0).
     """
-    from .gf import projective_points
-
     q, d2, n2, perp = m1.q, m2.n, m2.atom_count, m2._perp
     gens = []
     for w in projective_points(q, m1.n * d2):
@@ -518,10 +492,7 @@ def _flats(gens: Sequence[int], size: int, rank: int, budgets: Budgets) -> set[i
     """
     full = (1 << size) - 1
     everything = (1 << len(gens)) - 1
-    contain = [0] * size
-    for gi, g in enumerate(gens):
-        for k in bit_members(g):
-            contain[k] |= 1 << gi
+    contain = _transpose(tuple(gens), size)
 
     def close(live: int) -> int:
         out = full
@@ -557,7 +528,7 @@ def _flats(gens: Sequence[int], size: int, rank: int, budgets: Budgets) -> set[i
 
 
 def down_product(
-    m1: "SubspaceModel", m2: "SubspaceModel", budgets: Budgets = DEFAULT_BUDGETS
+    m1: SubspaceModel, m2: SubspaceModel, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
     """The sigma_down images of the tensor-model subspaces: the flats of the
     matroid on the product vectors of the factor atom pairs.
@@ -575,9 +546,6 @@ def down_product(
     empty set, for one).  notes counts all subspaces of the tensor model,
     the distinct images and the difference (the collisions).
     """
-    from .geometry import build_projective_space, tensor_model
-    from .gf import count_subspaces
-
     left, _ = build_projective_space(m1, budgets)
     right, _ = build_projective_space(m2, budgets)
     grid = PairGrid(left.universe_size, right.universe_size)
@@ -813,15 +781,3 @@ def interval_check(
     return IntervalReport(
         contains_sep, inside_top, sep_strict, top_strict, sep_witness, top_witness
     )
-
-
-def validate_instance(instance: ProductInstance) -> None:
-    """Constructed products must be simple closure spaces; raise if not."""
-    space = instance.space
-    if space.is_explicit:
-        report = validate_simple_closure_space(space.family)
-        if not report.valid:
-            raise ContractViolation(
-                f"{instance.kind} product family violates the closure axioms: "
-                + "; ".join(v.kind for v in report.violations[:5])
-            )

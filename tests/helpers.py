@@ -584,3 +584,10 @@ def coordinate_set_p3_witnesses(instance):
             if not instance.left.contains_mask(sec):
                 out.append({"set": _members(m), "column": cols.pop(), "section": _members(sec)})
     return out
+
+
+def count_dot_elements(dot):
+    """(nodes, edges) of a digraph produced by export_dot."""
+    nodes = sum(1 for line in dot.splitlines() if "[label=" in line)
+    edges = sum(1 for line in dot.splitlines() if "->" in line)
+    return nodes, edges

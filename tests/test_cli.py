@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qll.cli import main
+from qll.closure import find_dual_covering_violation
 
 
 def _run(capsys, *argv):
@@ -69,20 +70,31 @@ def test_check_omod_needs_a_relation(capsys):
     assert "no orthocomplementation" in err
 
 
-def test_check_covering_and_dac(capsys):
+def test_check_covering_and_dac(capsys, star_mm):
     code, out, _ = _run(capsys, "check", "--property", "covering", "top(mo2,mo2)")
     assert code == 1
     assert json.loads(out)["holds"] is False
 
-    code, out, _ = _run(capsys, "check", "--property", "dac", "mo2")
-    assert code == 0
-    assert json.loads(out)["dac"] is True
+    for name in ("mo2", "boolean3"):
+        code, out, _ = _run(capsys, "check", "--property", "dac", name)
+        assert code == 0
+        data = json.loads(out)
+        assert data["dac"] is True
+        assert data["witness"] is None
 
     code, out, _ = _run(capsys, "check", "--property", "dac", "down(gf3_2,gf3_2)")
     assert code == 1
     data = json.loads(out)
     assert data["covering"] is True
     assert data["dual_covering"] is False
+
+    code, out, _ = _run(capsys, "check", "--property", "dac", "star(mo2,mo2)")
+    assert code == 1
+    data = json.loads(out)
+    assert data["dac"] is False
+    assert data["dual_covering"] is False
+    viol = find_dual_covering_violation(star_mm.space)
+    assert data["witness"] == viol.to_json()
 
 
 def test_check_p123_requires_product(capsys):

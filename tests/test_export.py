@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import count_dot_elements
 from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import powerset_space
 from qll.errors import BudgetExceeded
-from qll.export import count_dot_elements, export_dot
+from qll.export import export_dot
 
 
 def test_mo2_dot_counts(mo2):

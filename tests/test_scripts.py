@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qll.export import count_dot_elements
+from helpers import count_dot_elements
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SCRIPT = SCRIPTS / "run_all_theorems.py"
