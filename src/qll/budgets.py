@@ -23,11 +23,10 @@ class Budgets:
     # materialized top and the star generators and by the star family
     # walk) and the matrices scanned for a similitude group.
     node_cap: int = 10**8
-    # Subspaces one enumeration may list: the subspaces of a factor model,
-    # and the hyperplane normals of the tensor model behind down.
+    # Subspaces one build may list: the subspaces of a factor model, which
+    # are counted before its flats are listed, and the hyperplane normals
+    # of the tensor model behind down.
     subspace_cap: int = 10**6
-    # Largest family rendered to DOT.
-    dot_node_cap: int = 5000
 
     def with_overrides(self, **kwargs: int) -> "Budgets":
         return replace(self, **kwargs)

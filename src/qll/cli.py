@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .automorphisms import automorphism_chain, decompose_automorphism, orbits
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .closure import find_covering_violation, find_dual_covering_violation, is_atomistic, is_coatomistic
+from .closure import _dac_checks, find_covering_violation
 from .errors import BudgetExceeded, DecompositionFailed, QllError
 from .export import export_dot
 from .geometry import similitude_group
@@ -65,10 +66,14 @@ def _emit(args: argparse.Namespace, payload, raw: bool = False) -> None:
                 fh.write("\n")
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left: flush the rest to devnull, keep the exit code
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _instance_ortho(inst: ResolvedInstance, budgets: Budgets):
+def _instance_ortho(inst: ResolvedInstance):
     """An orthocomplementation candidate for omod checks: the instance's own
     atom orthogonality, or the cross relation on a sep product of
     orthocomplemented factors."""
@@ -104,7 +109,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK if res.maps else EXIT_FALSIFIED
 
     if prop == "omod":
-        cons = _instance_ortho(inst, budgets)
+        cons = _instance_ortho(inst)
         if cons is None or not cons.ok:
             detail = None if cons is None else cons.failure
             print(
@@ -138,10 +143,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK if viol is None else EXIT_FALSIFIED
 
     if prop == "dac":
-        dual = find_dual_covering_violation(inst.space)
-        cov = find_covering_violation(inst.space)
-        atomistic = is_atomistic(inst.space)
-        coatomistic = is_coatomistic(inst.space)
+        atomistic, coatomistic, cov, dual, dac = _dac_checks(inst.space)
         result = {
             "instance": inst.name,
             "property": prop,
@@ -149,12 +151,11 @@ def cmd_check(args: argparse.Namespace) -> int:
             "coatomistic": coatomistic,
             "covering": cov is None,
             "dual_covering": dual is None,
-            # dac is the conjunction of the four results above
-            "dac": atomistic and coatomistic and cov is None and dual is None,
+            "dac": dac,
             "witness": None if dual is None else dual.to_json(),
         }
         _emit(args, result)
-        return EXIT_OK if result["dac"] else EXIT_FALSIFIED
+        return EXIT_OK if dac else EXIT_FALSIFIED
 
     if prop == "p123":
         if inst.product is None:
@@ -235,7 +236,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     inst = resolve_instance(args.instance, budgets)
     if args.dot:
         name = "".join(c if c.isalnum() else "_" for c in inst.name)
-        _emit(args, export_dot(inst.space, name=name, budgets=budgets), raw=True)
+        _emit(args, export_dot(inst.space, name=name), raw=True)
     else:
         _emit(args, inst.to_json())
     return EXIT_OK

@@ -394,13 +394,13 @@ def space_from_masks(
     return sp
 
 
-def powerset_space(universe_size: int, atom_labels: Iterable[str] | None = None) -> ExplicitSpace:
+def powerset_space(universe_size: int) -> ExplicitSpace:
     """The Boolean lattice of all subsets of the universe."""
     if universe_size < 1:
         raise InputError("universe must have at least one atom")
     if universe_size > 20:
         raise BudgetExceeded("family_cap", DEFAULT_BUDGETS.family_cap)
-    return space_from_masks(universe_size, range(1 << universe_size), atom_labels)
+    return space_from_masks(universe_size, range(1 << universe_size))
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +612,15 @@ def find_dual_covering_violation(space: ClosureSpace) -> DualCoveringViolation |
                     bit_members(_first_between(sp, lo, a)),
                 )
     return None
+
+
+def _dac_checks(space: ClosureSpace) -> tuple:
+    """Atomistic, coatomistic, the covering and dual covering violations
+    (None when the property holds) and dac, the conjunction of the four."""
+    atomistic, coatomistic = is_atomistic(space), is_coatomistic(space)
+    cov, dual = find_covering_violation(space), find_dual_covering_violation(space)
+    dac = atomistic and coatomistic and cov is None and dual is None
+    return atomistic, coatomistic, cov, dual, dac
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from .atomset import bit_members
-from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import ClosureSpace, _require_explicit
 from .errors import BudgetExceeded
+
+_DOT_NODE_CAP = 5000  # largest family rendered to DOT
 
 
 def _node_label(space, mask_members: tuple[int, ...]) -> str:
@@ -14,16 +15,14 @@ def _node_label(space, mask_members: tuple[int, ...]) -> str:
     return "{" + ",".join(space.label(i) for i in mask_members) + "}"
 
 
-def export_dot(
-    space: ClosureSpace, name: str = "closure_space", budgets: Budgets = DEFAULT_BUDGETS
-) -> str:
+def export_dot(space: ClosureSpace, name: str = "closure_space") -> str:
     """Hasse diagram as a DOT digraph: one node per closed set, one edge per
     cover pair (lower -> upper), atoms grouped on one rank.  Node order and
     edge order follow the canonical family order, so output is reproducible.
     """
     sp = _require_explicit(space, "export_dot")
-    if len(sp.masks) > budgets.dot_node_cap:
-        raise BudgetExceeded("dot_node_cap", budgets.dot_node_cap)
+    if len(sp.masks) > _DOT_NODE_CAP:
+        raise BudgetExceeded("dot_node_cap", _DOT_NODE_CAP)
     masks = sp.masks
     idx = {m: i for i, m in enumerate(masks)}
 

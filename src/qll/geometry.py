@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import mul
+from typing import Sequence
 
-from .atomset import AtomSet
+from .atomset import AtomSet, bit_members
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .closure import ExplicitSpace, space_from_masks
+from .closure import ExplicitSpace, _transpose, space_from_masks
 from .errors import (
     BudgetExceeded,
     DegenerateFormError,
@@ -104,9 +106,6 @@ class SubspaceModel:
             for u in product(range(q), repeat=self.n)
         }
 
-    def form_value(self, u: Vec, v: Vec) -> int:
-        return dot(u, mat_vec(self.form, v, self.q), self.q)
-
     def to_json(self) -> dict:
         return {"q": self.q, "n": self.n, "form": [list(r) for r in self.form]}
 
@@ -153,14 +152,6 @@ class Subspace:
             return not any(x % self.model.q for x in v)
         return in_row_space(self.basis, v, self.model.q)
 
-    def atom_set(self) -> AtomSet:
-        """Projective points lying in the subspace, as atoms of the model."""
-        m = 0
-        for i, v in enumerate(self.model.atom_table):
-            if self.contains(v):
-                m |= 1 << i
-        return AtomSet(self.model.atom_count, m)
-
     def to_json(self) -> dict:
         return {"basis": [list(r) for r in self.basis]}
 
@@ -196,6 +187,61 @@ def enumerate_subspaces(
     return out
 
 
+def _flats(gens: Sequence[int], size: int, rank: int, budgets: Budgets) -> set[int]:
+    """The flats of a rank-`rank` matroid on `size` points, unordered, given
+    gens, every flat of rank rank-1 (other flats among them are allowed).
+
+    Every flat is an intersection of such hyperplanes, so cl(X) = ∧{g : X ⊆ g}.
+    A transposed index makes that a lookup: contain[k] marks the generators
+    holding point k, and the AND of contain over X marks those holding X.
+    The flats of rank r + 1 are cl(f ∪ {p}) for f of rank r and p outside f,
+    and the ones above f partition the points outside it, so p is skipped
+    once a closure already found from f holds it.  For r >= 1, a flat F of
+    rank r + 1 is also reached from a rank-r flat inside it that holds m,
+    F's lowest point outside cl(∅), and from there every point of F it
+    lacks lies above m; so from f only the points above f's lowest point
+    outside cl(∅) are tried.  Going up from cl(∅) that way lists the flats
+    of rank up to rank-2; those of rank rank-1 are generators and the only
+    one of rank `rank` is the whole set.  family_cap is checked after each
+    rank level.
+    """
+    full = (1 << size) - 1
+    everything = (1 << len(gens)) - 1
+    contain = _transpose(tuple(gens), size)
+
+    def close(live: int) -> int:
+        out = full
+        for gi in bit_members(live):
+            out &= gens[gi]
+        return out
+
+    bottom = close(everything)
+    # each flat of the current level with the generators that hold it
+    level = {bottom: everything}
+    family = {bottom}
+    for _ in range(rank - 2):
+        above: dict[int, int] = {}
+        for f, live in level.items():
+            rest = f & ~bottom
+            seen = f | (rest & -rest) - 1 if rest else f
+            for p in bit_members(full & ~seen):
+                if seen >> p & 1:
+                    continue
+                grown = live & contain[p]
+                c = close(grown)
+                seen |= c
+                above[c] = grown
+        level = above
+        family.update(level)
+        if len(family) > budgets.family_cap:
+            raise BudgetExceeded("family_cap", budgets.family_cap)
+    family.update(gens)
+    family.add(full)
+    if len(family) > budgets.family_cap:
+        raise BudgetExceeded("family_cap", budgets.family_cap)
+    return family
+
+
 def build_projective_space(
     model: SubspaceModel,
     budgets: Budgets = DEFAULT_BUDGETS,
@@ -203,30 +249,29 @@ def build_projective_space(
 ) -> tuple[ExplicitSpace, OrthogonalityRelation | None]:
     """Closure space of subspace point-sets plus the form's atom orthogonality.
 
+    The point sets of the subspaces are the flats of the rank-n matroid on
+    the points; _flats lists them from its hyperplanes u^perp, one per point
+    u, after count_subspaces is checked against subspace_cap.  The atoms
+    orthogonal to u under the form are (F u)^perp.  Both are read off the
+    perp table.
+
     Atom orthogonality must be irreflexive, so an isotropic point (form(p,p)=0,
     as happens for every identity-form model over GF(2) in dimension >= 2) is
     an error unless require_anisotropic=False, in which case no relation is
     returned and only form-free structure is available.
     """
-    atoms = model.atom_table
-    relation: OrthogonalityRelation | None = None
-    isotropic = [v for v in atoms if model.form_value(v, v) == 0]
+    q, atoms, perp = model.q, model.atom_table, model._perp
+    rows = tuple(perp[mat_vec(model.form, u, q)] for u in atoms)
+    isotropic = [u for i, u in enumerate(atoms) if rows[i] >> i & 1]
     if isotropic and require_anisotropic:
         raise IsotropicAtomError(
-            f"point {isotropic[0]} is orthogonal to itself (q={model.q}); "
+            f"point {isotropic[0]} is orthogonal to itself (q={q}); "
             "atom orthogonality cannot be irreflexive"
         )
-    if not isotropic:
-        masks = []
-        for u in atoms:
-            m = 0
-            for j, v in enumerate(atoms):
-                if model.form_value(u, v) == 0:
-                    m |= 1 << j
-            masks.append(m)
-        relation = OrthogonalityRelation(len(atoms), tuple(masks))
-    # distinct subspaces have distinct point sets
-    masks = [s.atom_set().mask for s in enumerate_subspaces(model, budgets)]
+    relation = None if isotropic else OrthogonalityRelation(len(atoms), rows)
+    if count_subspaces(q, model.n) > budgets.subspace_cap:
+        raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
+    masks = _flats([perp[u] for u in atoms], len(atoms), model.n, budgets)
     labels = ["(" + ",".join(map(str, v)) + ")" for v in atoms]
     return space_from_masks(len(atoms), masks, labels, budgets), relation
 
@@ -317,14 +362,27 @@ def similitude_group(
     return [AtomPermutation(img) for img in sorted(perms)]
 
 
+def _pair_perp(w: Mat, m1: SubspaceModel, m2: SubspaceModel) -> int:
+    """{(p1, p2) : v1ᵀ W v2 = 0} as a pair mask, for a d1 x d2 matrix W.
+
+    v1ᵀ W v2 = u·v2 with u = v1ᵀW, so row p1 is u^perp in the second
+    model's perp table (the whole row when u = 0).
+    """
+    q, n2, perp = m1.q, m2.atom_count, m2._perp
+    cols = tuple(zip(*w))
+    mask = 0
+    for i1, v1 in enumerate(m1.atom_table):
+        mask |= perp[tuple(sum(map(mul, v1, c)) % q for c in cols)] << (i1 * n2)
+    return mask
+
+
 def linear_map_coatom(a: Mat, m1: SubspaceModel, m2: SubspaceModel) -> AtomSet:
     """{(p, s) : form2(s, A p) = 0} over factor atom pairs, for a nonzero
     linear map A from the first model's space to the second's.
 
-    form2(s, A p) is the dot product of s with F2 A p, so row p is read off
-    the second model's perp table at F2 A p: the whole row when A p = 0 and
-    the hyperplane (A p)^perp otherwise.  Proportional maps give the same
-    set.
+    form2(s, A p) = pᵀ W s with W = (F2 A)ᵀ, so _pair_perp reads the set
+    row by row from the second model's perp table.  Proportional maps give
+    the same set.
     """
     if len(a) != m2.n or any(len(row) != m1.n for row in a):
         raise InputError(f"map must be {m2.n} x {m1.n}")
@@ -332,9 +390,5 @@ def linear_map_coatom(a: Mat, m1: SubspaceModel, m2: SubspaceModel) -> AtomSet:
         raise InputError("zero map does not define a coatom")
     if m1.q != m2.q:
         raise InputError("factor models must share the field")
-    q, n2, perp = m1.q, m2.atom_count, m2._perp
-    fa = mat_mul(m2.form, a, q)
-    mask = 0
-    for i1, v1 in enumerate(m1.atom_table):
-        mask |= perp[mat_vec(fa, v1, q)] << (i1 * n2)
-    return AtomSet(m1.atom_count * n2, mask)
+    w = transpose(mat_mul(m2.form, a, m1.q))
+    return AtomSet(m1.atom_count * m2.atom_count, _pair_perp(w, m1, m2))

@@ -20,10 +20,8 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
     ClosureSpace,
     ExplicitSpace,
+    _dac_checks,
     find_covering_violation,
-    find_dual_covering_violation,
-    is_atomistic,
-    is_coatomistic,
     powerset_space,
     space_to_json,
 )
@@ -599,18 +597,13 @@ def _pipeline_down_properties(
         )
     )
 
-    atomistic = is_atomistic(down.space)
-    coatomistic = is_coatomistic(down.space)
+    atomistic, coatomistic, cov, dual, dac = _dac_checks(down.space)
     checks.append(_check("atomistic", atomistic))
     checks.append(_check("coatomistic", coatomistic))
-    cov = find_covering_violation(down.space)
     _witness_check(checks, certs, "covering_holds", cov, False)
-    dual = find_dual_covering_violation(down.space)
     _witness_check(
         checks, certs, "dual_covering_fails", dual, True, "dual_covering_witness"
     )
-    # dac is the conjunction of the four results above
-    dac = atomistic and coatomistic and cov is None and dual is None
     checks.append(_check("not_dac", not dac))
 
     n1, n2 = down.grid.n1, down.grid.n2

@@ -26,10 +26,10 @@ _close_under_intersections, at O(|gens|·|family|) intersections.  star
 has many more (756 on mo3 x mo3), so _generated_family lists its closed
 sets by a row walk over a transposed index of the generators, with work
 that grows with the family; on sep that walk is measured slower, so it
-keeps the closure.  down reads its generators row by row from a perp
-table, and _flats lists its flats rank by rank from the same kind of
-index: only flats of rank up to n - 2 are closures to compute, since
-those of rank n - 1 are the generators.
+keeps the closure.  down takes its generators and its flats from
+geometry, which lists the factor lattices the same way: _pair_perp reads
+each hyperplane image row by row from a perp table, and _flats lists the
+flats rank by rank from the same kind of index.
 
 All four contain the crosses and have closed sections, so sep <= X <= top
 as families; interval_check certifies those inclusions and exhibits
@@ -39,7 +39,6 @@ witnesses when they are strict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .atomset import AtomSet, bit_members, canonical_mask_key
@@ -55,7 +54,13 @@ from .closure import (
     space_to_json,
 )
 from .errors import BudgetExceeded, ContractViolation, InputError
-from .geometry import SubspaceModel, build_projective_space, tensor_model
+from .geometry import (
+    SubspaceModel,
+    _flats,
+    _pair_perp,
+    build_projective_space,
+    tensor_model,
+)
 from .gf import count_subspaces, projective_points
 
 
@@ -455,76 +460,14 @@ def _hyperplane_images(m1: SubspaceModel, m2: SubspaceModel) -> list[int]:
     """The pairs whose product vector x has w·x = 0, for every projective
     point w of the tensor model in order.
 
-    Read w as a d1 x d2 matrix W: then w·(v1 ⊗ v2) = u·v2 with u = v1ᵀW,
-    whose entries are v1 dotted with the columns of W.  So row i1 of the
-    image is u^perp in the second factor, one lookup in its perp table (the
-    whole row when u = 0).
+    Read w as a d1 x d2 matrix W: then w·(v1 ⊗ v2) = v1ᵀ W v2, the set
+    _pair_perp reads row by row from the second factor's perp table.
     """
-    q, d2, n2, perp = m1.q, m2.n, m2.atom_count, m2._perp
-    gens = []
-    for w in projective_points(q, m1.n * d2):
-        cols = [w[j::d2] for j in range(d2)]
-        mask = 0
-        for i1, v1 in enumerate(m1.atom_table):
-            u = tuple(sum(map(mul, v1, c)) % q for c in cols)
-            mask |= perp[u] << (i1 * n2)
-        gens.append(mask)
-    return gens
-
-
-def _flats(gens: Sequence[int], size: int, rank: int, budgets: Budgets) -> set[int]:
-    """The flats of a rank-`rank` matroid on `size` points, unordered, given
-    gens, every flat of rank rank-1 (other flats among them are allowed).
-
-    Every flat is an intersection of such hyperplanes, so cl(X) = ∧{g : X ⊆ g}.
-    A transposed index makes that a lookup: contain[k] marks the generators
-    holding point k, and the AND of contain over X marks those holding X.
-    The flats of rank r + 1 are cl(f ∪ {p}) for f of rank r and p outside f,
-    and the ones above f partition the points outside it, so p is skipped
-    once a closure already found from f holds it.  For r >= 1, a flat F of
-    rank r + 1 is also reached from a rank-r flat inside it that holds m,
-    F's lowest point outside cl(∅), and from there every point of F it
-    lacks lies above m; so from f only the points above f's lowest point
-    outside cl(∅) are tried.  Going up from cl(∅) that way lists the flats
-    of rank up to rank-2; those of rank rank-1 are generators and the only
-    one of rank `rank` is the whole set.  family_cap is checked after each
-    rank level.
-    """
-    full = (1 << size) - 1
-    everything = (1 << len(gens)) - 1
-    contain = _transpose(tuple(gens), size)
-
-    def close(live: int) -> int:
-        out = full
-        for gi in bit_members(live):
-            out &= gens[gi]
-        return out
-
-    bottom = close(everything)
-    # each flat of the current level with the generators that hold it
-    level = {bottom: everything}
-    family = {bottom}
-    for _ in range(rank - 2):
-        above: dict[int, int] = {}
-        for f, live in level.items():
-            rest = f & ~bottom
-            seen = f | (rest & -rest) - 1 if rest else f
-            for p in bit_members(full & ~seen):
-                if seen >> p & 1:
-                    continue
-                grown = live & contain[p]
-                c = close(grown)
-                seen |= c
-                above[c] = grown
-        level = above
-        family.update(level)
-        if len(family) > budgets.family_cap:
-            raise BudgetExceeded("family_cap", budgets.family_cap)
-    family.update(gens)
-    family.add(full)
-    if len(family) > budgets.family_cap:
-        raise BudgetExceeded("family_cap", budgets.family_cap)
-    return family
+    d2 = m2.n
+    return [
+        _pair_perp(tuple(w[i : i + d2] for i in range(0, len(w), d2)), m1, m2)
+        for w in projective_points(m1.q, m1.n * d2)
+    ]
 
 
 def down_product(
@@ -538,9 +481,10 @@ def down_product(
     product vectors span the tensor model, so the matroid has rank
     n = d1·d2, at most 4 since every anisotropic factor has dimension at
     most 2.  Its hyperplanes are the images of the (q^n - 1)/(q - 1)
-    hyperplanes w·x = 0 of the tensor model, built row by row from the
-    second factor's perp table; _flats lists the rest from them.  No
-    subspace is enumerated.
+    hyperplanes w·x = 0 of the tensor model, which _pair_perp reads row by
+    row from the second factor's perp table; _flats lists the rest from
+    them, as build_projective_space does for the factors.  No subspace is
+    enumerated.
 
     Distinct subspaces can share an image (every entangled line maps to the
     empty set, for one).  notes counts all subspaces of the tensor model,

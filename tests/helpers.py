@@ -294,8 +294,9 @@ def linear_dual_covering_violation(space):
 # ---------------------------------------------------------------------------
 # Slow constructors: the product builders that the generator-at-a-time
 # intersection closure, the section search (for top and for the star
-# generators), the hyperplane generators and the perp-table row lookups
-# replaced.  Unless noted they return mask tuples in canonical family order.
+# generators), the hyperplane generators, the perp-table row lookups and
+# the flats of the factor lattices replaced.  Unless noted they return mask
+# tuples in canonical family order.
 
 
 def _canonical(masks):
@@ -388,6 +389,44 @@ def feasible_column_star_generators(left, right):
     return _canonical(out)
 
 
+def subspace_atom_set(s):
+    """Projective points lying in the subspace s, as atoms of its model, by
+    one in_row_space test per point."""
+    from qll.atomset import AtomSet
+
+    mask = 0
+    for i, v in enumerate(s.model.atom_table):
+        if s.contains(v):
+            mask |= 1 << i
+    return AtomSet(s.model.atom_count, mask)
+
+
+def full_enumeration_projective_space(model):
+    """The point sets of every subspace of the model: the factor lattice
+    that build_projective_space now lists as flats."""
+    from qll.geometry import enumerate_subspaces
+
+    return _canonical(subspace_atom_set(s).mask for s in enumerate_subspaces(model))
+
+
+def form_value(model, u, v):
+    """uᵀ F v under the model's form."""
+    from qll.gf import dot, mat_vec
+
+    return dot(u, mat_vec(model.form, v, model.q), model.q)
+
+
+def form_loop_perp_masks(model):
+    """For every atom u, the atoms v with form(u, v) = 0, one form
+    evaluation per pair: the relation build_projective_space now reads
+    off the perp table."""
+    atoms = model.atom_table
+    return tuple(
+        sum(1 << j for j, v in enumerate(atoms) if form_value(model, u, v) == 0)
+        for u in atoms
+    )
+
+
 def full_enumeration_down(m1, m2):
     """sigma_down of every tensor-model subspace, deduplicated, with the
     notes down_product reports."""
@@ -427,7 +466,7 @@ def pair_loop_linear_map_coatom(a, m1, m2):
     for i1, v1 in enumerate(m1.atom_table):
         w = mat_vec(a, v1, m1.q)
         for i2, v2 in enumerate(m2.atom_table):
-            if m2.form_value(v2, w) == 0:
+            if form_value(m2, v2, w) == 0:
                 mask |= 1 << (i1 * n2 + i2)
     return mask
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +246,22 @@ def test_usage_errors_exit_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 3
+
+
+def test_closed_stdout_ends_quietly():
+    # about 97 KB of JSON, more than a pipe buffer holds, so the write
+    # meets the closed pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qll.cli", "build", "down(gf7_2,gf7_2)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.read(10) == b'{\n  "produ'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from helpers import count_dot_elements
-from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import powerset_space
 from qll.errors import BudgetExceeded
 from qll.export import export_dot
@@ -48,8 +47,8 @@ def test_dot_structure_has_single_sink(mo2):
     assert len(sources) == 1  # the empty set
 
 
-def test_node_cap(sep_mm):
-    with pytest.raises(BudgetExceeded):
-        export_dot(
-            sep_mm.space, budgets=DEFAULT_BUDGETS.with_overrides(dot_node_cap=10)
-        )
+def test_node_cap(sep_mm, monkeypatch):
+    monkeypatch.setattr("qll.export._DOT_NODE_CAP", 10)
+    with pytest.raises(BudgetExceeded) as exc:
+        export_dot(sep_mm.space)
+    assert exc.value.budget_name == "dot_node_cap"

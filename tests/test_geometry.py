@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from helpers import family_as_sets, naive_span, pair_loop_linear_map_coatom
+from helpers import (
+    family_as_sets,
+    form_loop_perp_masks,
+    full_enumeration_projective_space,
+    naive_span,
+    pair_loop_linear_map_coatom,
+    subspace_atom_set,
+)
 from qll.atomset import AtomSet
 from qll.errors import DegenerateFormError, InputError, IsotropicAtomError
 from qll.geometry import (
@@ -22,7 +30,7 @@ from qll.geometry import (
 from qll.automorphisms import orbits
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import BudgetExceeded
-from qll.gf import projective_points
+from qll.gf import count_subspaces, projective_points
 
 
 def test_model_creation_validates():
@@ -70,7 +78,7 @@ def test_subspace_span_and_membership():
 def test_subspace_atom_set_matches_naive_span(gf3_2):
     model = gf3_2.model
     s = Subspace.span(model, [(1, 1)])
-    atom_set = s.atom_set()
+    atom_set = subspace_atom_set(s)
     pts = {model.atom_table[i] for i in atom_set.members}
     span_pts = {v for v in naive_span([(1, 1)], 3) if any(v)}
     normalized = set()
@@ -79,6 +87,61 @@ def test_subspace_atom_set_matches_naive_span(gf3_2):
         inv = 1 if lead == 1 else 2
         normalized.add(tuple(x * inv % 3 for x in v))
     assert pts == normalized
+
+
+# (q, n, form, anisotropic): the factor shapes, isotropic models among them
+PROJECTIVE_MODELS = {
+    "gf3_1": (3, 1, None, True),
+    "gf2_3": (2, 3, None, False),
+    "gf3_2": (3, 2, None, True),
+    "gf5_2": (5, 2, ((1, 0), (0, 2)), True),
+    "gf7_2": (7, 2, None, True),
+    "gf11_2": (11, 2, None, True),
+    "gf3_3": (3, 3, None, False),
+    "gf5_3": (5, 3, None, False),
+    "gf3_tensor": (3, 4, None, False),
+}
+
+
+def _projective_model(name):
+    q, n, form, _ = PROJECTIVE_MODELS[name]
+    if name == "gf3_tensor":
+        base = SubspaceModel.create(3, 2)
+        return tensor_model(base, base)
+    return SubspaceModel.create(q, n, form)
+
+
+@pytest.mark.parametrize("name", PROJECTIVE_MODELS)
+def test_projective_space_matches_full_enumeration(name):
+    model = _projective_model(name)
+    space, _ = build_projective_space(model, require_anisotropic=False)
+    assert space.masks == full_enumeration_projective_space(model)
+    assert len(space.masks) == count_subspaces(model.q, model.n)
+    assert space.atom_labels == tuple(
+        "(" + ",".join(map(str, v)) + ")" for v in model.atom_table
+    )
+    with pytest.raises(BudgetExceeded):
+        build_projective_space(
+            model,
+            DEFAULT_BUDGETS.with_overrides(subspace_cap=len(space.masks) - 1),
+            require_anisotropic=False,
+        )
+
+
+@pytest.mark.parametrize("name", PROJECTIVE_MODELS)
+def test_projective_perp_matches_form_loop(name):
+    model = _projective_model(name)
+    rows = form_loop_perp_masks(model)
+    isotropic = [u for i, u in enumerate(model.atom_table) if rows[i] >> i & 1]
+    anisotropic = PROJECTIVE_MODELS[name][3]
+    assert anisotropic == (not isotropic)
+    if not anisotropic:
+        # the error names the first isotropic point
+        with pytest.raises(IsotropicAtomError, match=re.escape(str(isotropic[0]))):
+            build_projective_space(model)
+        return
+    _, rel = build_projective_space(model)
+    assert rel.perp_masks == rows
 
 
 def test_orthogonal_complement_involution(gf3_2):

@@ -25,12 +25,11 @@ from helpers import (
 from qll.atomset import canonical_mask_key
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import BudgetExceeded
-from qll.geometry import SubspaceModel, build_projective_space
+from qll.geometry import SubspaceModel, _flats, build_projective_space
 from qll.gf import dot, projective_points, rank
 from qll.harness import resolve_base
 from qll.products import (
     _close_under_intersections,
-    _flats,
     _generated_family,
     _hyperplane_images,
     down_product,
