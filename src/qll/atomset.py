@@ -32,11 +32,30 @@ def mask_from_members(members: Iterable[int]) -> int:
     return m
 
 
-def canonical_mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Sort key giving the canonical family order: cardinality first, then
-    lexicographic on the sorted member list."""
-    bits = bit_members(mask)
-    return (len(bits), bits)
+# _REVERSED_BYTES[b] is the byte b with its eight bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def canonical_sorted(masks: Iterable[int], n: int) -> list[int]:
+    """The masks, subsets of a universe of n atoms, in canonical family
+    order: cardinality first, then lexicographic on the sorted member list.
+
+    Between two sets of one cardinality, A comes first iff the lowest atom
+    of A ^ B lies in A, which holds iff the bit reversal of A is the larger.
+    So the key is one int: the cardinality above the complement of the
+    reversal, reversed a byte at a time through a table over the
+    ceil(n/8)-byte big-endian form of the mask.
+    """
+    size = (n + 7) // 8
+    width = 8 * size
+    everything = (1 << width) - 1
+    table = _REVERSED_BYTES
+
+    def key(m: int) -> int:
+        rev = int.from_bytes(m.to_bytes(size, "big").translate(table), "little")
+        return (m.bit_count() << width) | (everything ^ rev)
+
+    return sorted(masks, key=key)
 
 
 @dataclass(frozen=True)

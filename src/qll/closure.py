@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .atomset import AtomSet, bit_members, canonical_mask_key
+from .atomset import AtomSet, bit_members, canonical_sorted
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import (
     BudgetExceeded,
@@ -169,7 +169,8 @@ class ExplicitSpace(ClosureSpace):
     """Closure space given by its full family of closed sets.
 
     Two doors lead to one construction body, which deduplicates, applies
-    family_cap and sorts into canonical order: ExplicitSpace(family) takes
+    family_cap and sorts into canonical order with canonical_sorted (one
+    int key per mask, no member tuple built): ExplicitSpace(family) takes
     AtomSets and rejects an empty family or mixed universes, and
     space_from_masks takes the masks a product builder holds, a family
     closed by construction.  Neither door validates the axioms; call
@@ -206,7 +207,7 @@ class ExplicitSpace(ClosureSpace):
         self.atom_labels = tuple(atom_labels) if atom_labels is not None else None
         if self.atom_labels is not None and len(self.atom_labels) != n:
             raise InputError("atom_labels length does not match universe size")
-        self._masks = tuple(sorted(self._mask_set, key=canonical_mask_key))
+        self._masks = tuple(canonical_sorted(self._mask_set, n))
         self._family: tuple[AtomSet, ...] | None = None
         self._coatom_masks: tuple[int, ...] | None = None
         # closure kernel, built on first use (see closure_mask)

@@ -55,6 +55,22 @@ from .ortho import OrthogonalityRelation
 from .automorphisms import AtomPermutation
 
 
+class _PerpTable(dict):
+    """Vector u to the mask of the atoms v with u·v = 0, each row computed
+    on its first lookup."""
+
+    def __init__(self, q: int, atoms: Sequence[Vec]):
+        super().__init__()
+        self.q = q
+        self.atoms = atoms
+
+    def __missing__(self, u: Vec) -> int:
+        q = self.q
+        row = sum(1 << j for j, v in enumerate(self.atoms) if dot(u, v, q) == 0)
+        self[u] = row
+        return row
+
+
 @dataclass(frozen=True)
 class SubspaceModel:
     """GF(q)^n with a symmetric nondegenerate bilinear form."""
@@ -97,14 +113,11 @@ class SubspaceModel:
         return len(self.atom_table)
 
     @cached_property
-    def _perp(self) -> dict[Vec, int]:
-        """Every u in GF(q)^n to the atom mask of {v : u·v = 0} under the
-        plain dot product: a hyperplane for u != 0, every atom for u = 0."""
-        q, atoms = self.q, self.atom_table
-        return {
-            u: sum(1 << j for j, v in enumerate(atoms) if dot(u, v, q) == 0)
-            for u in product(range(q), repeat=self.n)
-        }
+    def _perp(self) -> _PerpTable:
+        """u in GF(q)^n to the atom mask of {v : u·v = 0} under the plain
+        dot product: a hyperplane for u != 0, every atom for u = 0.  Rows
+        are filled on first lookup, so a build reads only the rows it uses."""
+        return _PerpTable(self.q, self.atom_table)
 
     def to_json(self) -> dict:
         return {"q": self.q, "n": self.n, "form": [list(r) for r in self.form]}

@@ -18,8 +18,13 @@ strided).  Four constructions on that shared universe:
   in the second factor and columns coatoms-or-full in the first.
 
 top and the star generators are the sets whose rows and columns lie in
-given lists; _section_search finds them row by row, pruning on the column
-prefixes placed so far, and counts each row placed against node_cap.
+given lists; _section_search finds them row by row and counts each row
+placed against node_cap.  Its state is one int with a field per column,
+|allowed columns| + 1 bits wide: the allowed columns that agree with the
+rows placed so far, under a guard bit.  A row placed is one AND with a
+precomputed entry, and a branch dies when some field empties, which one
+subtraction over the guarded fields detects; the tree and its node count
+are those of the search on column prefixes that it replaced.
 sep, star and down are the intersection closures of their generators.
 sep has few (the crosses) and is built one generator at a time by
 _close_under_intersections, at O(|gens|·|family|) intersections.  star
@@ -41,11 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
-from .atomset import AtomSet, bit_members, canonical_mask_key
+from .atomset import AtomSet, bit_members, canonical_sorted
 from .automorphisms import AtomPermutation, first_unpreserved
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
     ClosureSpace,
+    ExplicitSpace,
     ImplicitSpace,
     _require_explicit,
     _transpose,
@@ -353,48 +359,64 @@ def _section_search(
     """Every grid mask whose rows lie in row_options and whose columns lie
     in col_allowed, by a row-by-row backtracking search.
 
-    Row i1 ranges over row_options (masks over the second factor).  Once k
-    rows are placed, each column holds the first k bits of its section, and
-    that prefix must agree with some allowed column on those k atoms; a
-    branch stops at the first row that breaks this for some column.  After
-    the last row the prefixes are whole sections, so the leaves are exactly
-    the wanted masks.  Every row placed (each node of the search tree)
-    counts against node_cap and every leaf against family_cap.
+    Row k ranges over row_options (masks over the second factor).  The
+    state packs one field per column j, w = |col_allowed| + 1 bits wide:
+    its low w - 1 bits mark the allowed columns that agree with column j on
+    the rows placed so far, and its top bit is a guard, kept out of the
+    state.  sel[k][r] marks, in field j, the allowed columns whose bit k
+    equals bit j of r, so placing r as row k is one AND, and a branch lives
+    while no field is empty: subtracting 1 from each guarded field clears
+    a guard exactly where the field was empty, and no borrow crosses a
+    field.  A branch stops at the first row that empties some field, as it
+    would once some column prefix extends no allowed column, so the tree,
+    its node count and its leaf order are those of a search on the column
+    prefixes.  After the last row each field marks the allowed columns
+    equal to its column, so the leaves are exactly the wanted masks.  Every
+    row placed (each node of the search tree) counts against node_cap and
+    every leaf against family_cap.
     """
-    # prefixes[k]: the allowed columns cut to atoms 0..k-1
-    prefixes = [{c & ((1 << k) - 1) for c in col_allowed} for k in range(n1 + 1)]
+    cols = tuple(dict.fromkeys(col_allowed))
+    width = len(cols) + 1
+    low = sum(1 << (j * width) for j in range(n2))
+    guard = low << (width - 1)
+    every = (1 << (width - 1)) - 1
+    # sel[k]: (row r shifted into place, sel[k][r]) for each option r
+    sel = []
+    for k in range(n1):
+        ones = sum(1 << t for t, c in enumerate(cols) if c >> k & 1)
+        zeros = every ^ ones
+        sel.append(
+            [
+                (
+                    r << (k * n2),
+                    sum(
+                        (ones if r >> j & 1 else zeros) << (j * width)
+                        for j in range(n2)
+                    ),
+                )
+                for r in row_options
+            ]
+        )
     keep: list[int] = []
     nodes = 0
 
-    def rec(k: int, mask: int, cols: tuple[int, ...]) -> None:
+    def rec(k: int, mask: int, state: int) -> None:
         nonlocal nodes
         if k == n1:
             keep.append(mask)
             if len(keep) > budgets.family_cap:
                 raise BudgetExceeded("family_cap", budgets.family_cap)
             return
-        ok, bit = prefixes[k + 1], 1 << k
-        # columns whose prefix extends only with a 1 (need) or only with a 0
-        # (forbid) at row k; every valid prefix extends one way or the other
-        need = forbid = 0
-        for j, c in enumerate(cols):
-            if c not in ok:
-                need |= 1 << j
-            elif c | bit not in ok:
-                forbid |= 1 << j
-        for row in row_options:
-            if row & forbid or need & ~row:
+        for row, s in sel[k]:
+            t = state & s
+            if ((t | guard) - low) & guard != guard:
                 continue
             nodes += 1
             if nodes > budgets.node_cap:
                 raise BudgetExceeded("node_cap", budgets.node_cap)
-            rec(
-                k + 1,
-                mask | row << (k * n2),
-                tuple(c | bit if row >> j & 1 else c for j, c in enumerate(cols)),
-            )
+            rec(k + 1, mask | row, t)
 
-    rec(0, 0, (0,) * n2)
+    rec(0, 0, every * low)
     return keep
 
 
@@ -412,6 +434,19 @@ def materialize_top_product(
     return ProductInstance("top", l, r, space, grid)
 
 
+def _star_generator_masks(
+    l: ExplicitSpace, r: ExplicitSpace, budgets: Budgets
+) -> list[int]:
+    """The star generators as masks, in search order: the section search on
+    the coatoms-or-full options, less the full mask."""
+    n1, n2 = l.universe_size, r.universe_size
+    # coatoms are proper, so no row option repeats and no leaf is found twice
+    rows = (*r.coatom_masks(), (1 << n2) - 1)
+    cols = (*l.coatom_masks(), (1 << n1) - 1)
+    full = (1 << n1 * n2) - 1
+    return [m for m in _section_search(rows, cols, n1, n2, budgets) if m != full]
+
+
 def star_generators(
     left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list[AtomSet]:
@@ -423,24 +458,20 @@ def star_generators(
     against family_cap."""
     l = _require_explicit(left, "star_generators")
     r = _require_explicit(right, "star_generators")
-    n1, n2 = l.universe_size, r.universe_size
-    # coatoms are proper, so no row option repeats and no leaf is found twice
-    rows = (*r.coatom_masks(), (1 << n2) - 1)
-    cols = (*l.coatom_masks(), (1 << n1) - 1)
-    full = (1 << n1 * n2) - 1
-    masks = _section_search(rows, cols, n1, n2, budgets)
-    masks.sort(key=canonical_mask_key)
-    return [AtomSet(n1 * n2, m) for m in masks if m != full]
+    size = l.universe_size * r.universe_size
+    masks = _star_generator_masks(l, r, budgets)
+    return [AtomSet(size, m) for m in canonical_sorted(masks, size)]
 
 
 def star_product(
     left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
     """The intersection closure of the star generators and the whole
-    universe, listed by the row walk of _generated_family.  Every row of a
-    generator is a coatom or the whole universe of the second factor, so
-    every row of an intersection is closed there: the rows range over the
-    second factor's family.
+    universe, listed by the row walk of _generated_family, which needs the
+    generators in no particular order.  Every row of a generator is a
+    coatom or the whole universe of the second factor, so every row of an
+    intersection is closed there: the rows range over the second factor's
+    family.
 
     The factors must be coatomistic, otherwise the generators need not
     intersect down to the singletons and the result is not a closure space.
@@ -450,7 +481,7 @@ def star_product(
     if not is_coatomistic(l) or not is_coatomistic(r):
         raise ContractViolation("star product requires coatomistic factors")
     grid = PairGrid(l.universe_size, r.universe_size)
-    gens = [g.mask for g in star_generators(l, r, budgets)]
+    gens = _star_generator_masks(l, r, budgets)
     masks = _generated_family(gens, r.masks, grid.n1, grid.n2, budgets)
     space = space_from_masks(grid.size, masks, _pair_labels(l, r), budgets)
     return ProductInstance("star", l, r, space, grid)

@@ -294,9 +294,9 @@ def linear_dual_covering_violation(space):
 # ---------------------------------------------------------------------------
 # Slow constructors: the product builders that the generator-at-a-time
 # intersection closure, the section search (for top and for the star
-# generators), the hyperplane generators, the perp-table row lookups and
-# the flats of the factor lattices replaced.  Unless noted they return mask
-# tuples in canonical family order.
+# generators), its packed column state, the hyperplane generators, the
+# perp-table row lookups and the flats of the factor lattices replaced.
+# Unless noted they return mask tuples in canonical family order.
 
 
 def _canonical(masks):
@@ -387,6 +387,50 @@ def feasible_column_star_generators(left, right):
 
     rec(0)
     return _canonical(out)
+
+
+def prefix_section_search(row_options, col_allowed, n1, n2, budgets):
+    """The section search before its column state was packed: each node
+    keeps the column prefixes as a tuple and tests every one against the
+    sets of allowed-column prefixes.  Leaves come in search order, and every
+    row placed counts against node_cap, every leaf against family_cap."""
+    from qll.errors import BudgetExceeded
+
+    # prefixes[k]: the allowed columns cut to atoms 0..k-1
+    prefixes = [{c & ((1 << k) - 1) for c in col_allowed} for k in range(n1 + 1)]
+    keep = []
+    nodes = 0
+
+    def rec(k, mask, cols):
+        nonlocal nodes
+        if k == n1:
+            keep.append(mask)
+            if len(keep) > budgets.family_cap:
+                raise BudgetExceeded("family_cap", budgets.family_cap)
+            return
+        ok, bit = prefixes[k + 1], 1 << k
+        # columns whose prefix extends only with a 1 (need) or only with a 0
+        # (forbid) at row k; every valid prefix extends one way or the other
+        need = forbid = 0
+        for j, c in enumerate(cols):
+            if c not in ok:
+                need |= 1 << j
+            elif c | bit not in ok:
+                forbid |= 1 << j
+        for row in row_options:
+            if row & forbid or need & ~row:
+                continue
+            nodes += 1
+            if nodes > budgets.node_cap:
+                raise BudgetExceeded("node_cap", budgets.node_cap)
+            rec(
+                k + 1,
+                mask | row << (k * n2),
+                tuple(c | bit if row >> j & 1 else c for j, c in enumerate(cols)),
+            )
+
+    rec(0, 0, (0,) * n2)
+    return keep
 
 
 def subspace_atom_set(s):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qll.atomset import AtomSet, bit_members, canonical_mask_key, mask_from_members
+from qll.atomset import AtomSet, bit_members, canonical_sorted, mask_from_members
 from qll.errors import InputError, UniverseMismatch
+
+from helpers import _canonical
 
 
 def test_bit_members_roundtrip():
@@ -53,8 +57,21 @@ def test_mixed_universes_rejected():
 
 def test_canonical_key_orders_by_size_then_members():
     masks = [0b11, 0b100, 0b1, 0b110]
-    ordered = sorted(masks, key=canonical_mask_key)
-    assert ordered == [0b1, 0b100, 0b11, 0b110]
+    assert canonical_sorted(masks, 3) == [0b1, 0b100, 0b11, 0b110]
+
+
+@st.composite
+def _universe_and_masks(draw):
+    n = draw(st.sampled_from([1, 7, 8, 9, 36, 64, 65]))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(min_value=0, max_value=full), max_size=40))
+    return n, masks + [0, full]
+
+
+@given(_universe_and_masks())
+def test_canonical_sorted_matches_member_lists(case):
+    n, masks = case
+    assert canonical_sorted(masks, n) == list(_canonical(masks))
 
 
 def test_bool_and_repr():

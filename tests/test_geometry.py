@@ -30,7 +30,7 @@ from qll.geometry import (
 from qll.automorphisms import orbits
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import BudgetExceeded
-from qll.gf import count_subspaces, projective_points
+from qll.gf import count_subspaces, mat_vec, projective_points
 
 
 def test_model_creation_validates():
@@ -142,6 +142,31 @@ def test_projective_perp_matches_form_loop(name):
         return
     _, rel = build_projective_space(model)
     assert rel.perp_masks == rows
+
+
+@pytest.mark.parametrize(
+    "name,point",
+    [("gf2_3", "(0, 1, 1)"), ("gf3_3", "(1, 1, 1)"), ("gf3_tensor", "(0, 1, 1, 1)")],
+)
+def test_isotropic_error_names_first_isotropic_point(name, point):
+    q = PROJECTIVE_MODELS[name][0]
+    with pytest.raises(IsotropicAtomError) as exc:
+        build_projective_space(_projective_model(name))
+    assert str(exc.value) == (
+        f"point {point} is orthogonal to itself (q={q}); "
+        "atom orthogonality cannot be irreflexive"
+    )
+
+
+@pytest.mark.parametrize("q,form", [(59, None), (5, ((1, 0), (0, 2)))])
+def test_factor_build_reads_only_the_perp_rows_it_uses(q, form):
+    # one row per point u and one per F u, out of q^2 vectors
+    model = SubspaceModel.create(q, 2, form)
+    build_projective_space(model)
+    atoms = model.atom_table
+    used = {mat_vec(model.form, u, q) for u in atoms} | set(atoms)
+    assert set(model._perp) == used
+    assert len(used) < q**2
 
 
 def test_orthogonal_complement_involution(gf3_2):

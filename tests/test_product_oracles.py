@@ -4,8 +4,9 @@ row-assignment enumeration for top, the feasible-column search for the star
 generators and the full subspace enumeration for down, on the L0 and L1
 factors.  The row walk behind star is also checked against the
 one-generator-at-a-time closure that sep uses, on all three generator
-kinds, and down's hyperplane images and flats against the dot-product
-images and their closure."""
+kinds, down's hyperplane images and flats against the dot-product images
+and their closure, and the packed section search against the prefix-set
+search it replaced, leaf for leaf and node for node."""
 
 from __future__ import annotations
 
@@ -15,14 +16,15 @@ import random
 import pytest
 
 from helpers import (
+    _canonical,
     cross_masks,
     dot_hyperplane_images,
     feasible_column_star_generators,
     full_enumeration_down,
     pairwise_close_under_intersections,
+    prefix_section_search,
     row_assignment_top_masks,
 )
-from qll.atomset import canonical_mask_key
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import BudgetExceeded
 from qll.geometry import SubspaceModel, _flats, build_projective_space
@@ -32,6 +34,7 @@ from qll.products import (
     _close_under_intersections,
     _generated_family,
     _hyperplane_images,
+    _section_search,
     down_product,
     materialize_top_product,
     sep_product,
@@ -83,7 +86,7 @@ def test_star_walk_matches_generator_closure(a, b):
     left, right = _factors(a, b)
     gens = {g.mask for g in star_generators(left, right)}
     closed = _close_under_intersections(gens, _full(left, right), DEFAULT_BUDGETS)
-    expected = tuple(sorted(closed, key=canonical_mask_key))
+    expected = _canonical(closed)
     assert star_product(left, right).space.masks == expected
 
 
@@ -132,7 +135,7 @@ def test_down_flats_match_generator_closure(name):
     closed = _close_under_intersections(
         dot_hyperplane_images(model, model), (1 << size) - 1, DEFAULT_BUDGETS
     )
-    expected = tuple(sorted(closed, key=canonical_mask_key))
+    expected = _canonical(closed)
     assert down_product(model, model).space.masks == expected
 
 
@@ -223,3 +226,49 @@ def test_down_matches_full_enumeration(q, form):
     inst = down_product(model, model)
     assert inst.space.masks == masks
     assert inst.notes == notes
+
+
+SECTION_PAIRS = [
+    ("mo2", "mo2"),
+    ("mo2", "mo3"),
+    ("mo3", "mo2"),
+    ("boolean3", "mo2"),
+    ("gf5_2", "gf3_2"),
+]
+
+
+def _section_options(kind, left, right):
+    """(row options, allowed columns) of the section search behind top or
+    the star generators."""
+    if kind == "top":
+        return right.masks, left.masks
+    n1, n2 = left.universe_size, right.universe_size
+    return (*right.coatom_masks(), (1 << n2) - 1), (*left.coatom_masks(), (1 << n1) - 1)
+
+
+# (a, b, kind, smallest node_cap the search passes)
+NODE_CAP_EDGES = [
+    (a, b, kind, edge)
+    for kind, edges in (
+        ("top", (369, 1409, 1980, 258, 1980)),
+        ("star", (112, 226, 166, 27, 166)),
+    )
+    for (a, b), edge in zip(SECTION_PAIRS, edges)
+]
+
+
+@pytest.mark.parametrize(
+    "a,b,kind,edge", NODE_CAP_EDGES, ids=[f"{k}-{a},{b}" for a, b, k, _ in NODE_CAP_EDGES]
+)
+def test_section_search_matches_prefix_search(a, b, kind, edge):
+    left, right = _factors(a, b)
+    rows, cols = _section_options(kind, left, right)
+    n1, n2 = left.universe_size, right.universe_size
+    got = _section_search(rows, cols, n1, n2, DEFAULT_BUDGETS)
+    assert got == prefix_section_search(rows, cols, n1, n2, DEFAULT_BUDGETS)
+    for search in (_section_search, prefix_section_search):
+        passing = DEFAULT_BUDGETS.with_overrides(node_cap=edge)
+        assert search(rows, cols, n1, n2, passing) == got
+        with pytest.raises(BudgetExceeded) as exc:
+            search(rows, cols, n1, n2, passing.with_overrides(node_cap=edge - 1))
+        assert exc.value.budget_name == "node_cap"
