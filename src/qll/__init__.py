@@ -58,7 +58,6 @@ from .geometry import (
     enumerate_subspaces,
     linear_map_coatom,
     mo_lattice,
-    orthogonal_complement,
     sigma_down,
     similitude_group,
     tensor_model,

@@ -2,8 +2,8 @@
 
 A SubspaceModel is GF(q)^n equipped with a nondegenerate symmetric bilinear
 form.  Its projective points are the atoms of a simple closure space whose
-closed sets are the point sets of linear subspaces; the form supplies both
-the atom orthogonality relation and orthogonal complements of subspaces.
+closed sets are the point sets of linear subspaces; the form supplies the
+atom orthogonality relation.
 
 Over a prime field every field automorphism is trivial, so "antilinear" maps
 are plain linear maps here, and the unitary group is replaced by the group
@@ -39,7 +39,6 @@ from .gf import (
     dot,
     identity,
     in_row_space,
-    kernel_basis,
     kron,
     kron_vec,
     mat_mul,
@@ -47,7 +46,6 @@ from .gf import (
     normalize_point,
     projective_points,
     rank,
-    rref,
     rref_matrices,
     transpose,
 )
@@ -139,23 +137,6 @@ class Subspace:
     model: SubspaceModel
     basis: Mat
 
-    @classmethod
-    def span(cls, model: SubspaceModel, vectors: "list[Vec] | tuple[Vec, ...]") -> "Subspace":
-        for v in vectors:
-            if len(v) != model.n:
-                raise InputError(
-                    f"vector of length {len(v)} in a dimension-{model.n} model"
-                )
-        return cls(model, rref(vectors, model.q))
-
-    @classmethod
-    def zero(cls, model: SubspaceModel) -> "Subspace":
-        return cls(model, ())
-
-    @classmethod
-    def whole(cls, model: SubspaceModel) -> "Subspace":
-        return cls(model, identity(model.n))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -164,26 +145,6 @@ class Subspace:
         if self.dim == 0:
             return not any(x % self.model.q for x in v)
         return in_row_space(self.basis, v, self.model.q)
-
-    def to_json(self) -> dict:
-        return {"basis": [list(r) for r in self.basis]}
-
-    @classmethod
-    def from_json(cls, model: SubspaceModel, data: dict) -> "Subspace":
-        try:
-            basis = [tuple(int(x) for x in row) for row in data["basis"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed subspace JSON: {exc}") from exc
-        return cls.span(model, basis)
-
-
-def orthogonal_complement(s: Subspace) -> Subspace:
-    """{x : form(b, x) = 0 for all basis b}; dimension n - dim by nondegeneracy."""
-    model = s.model
-    if s.dim == 0:
-        return Subspace.whole(model)
-    pairing = tuple(mat_vec(model.form, b, model.q) for b in s.basis)
-    return Subspace(model, kernel_basis(pairing, model.q))
 
 
 def enumerate_subspaces(
@@ -356,9 +317,10 @@ def _form_multiplier(model: SubspaceModel, g: Mat) -> int | None:
 def similitude_group(
     model: SubspaceModel, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list[AtomPermutation]:
-    """Projective action of all invertible g with g^T F g = c F, c != 0,
-    sorted by image tuple.  All q^(n*n) matrices are tried, against
-    node_cap."""
+    """Projective action of all g with g^T F g = c F, c != 0, sorted by
+    image tuple.  Each such g is invertible: det(g)^2 det F = c^n det F,
+    and create rejects a singular F.  All q^(n*n) matrices are tried,
+    against node_cap."""
     q, n = model.q, model.n
     if q ** (n * n) > budgets.node_cap:
         raise BudgetExceeded("node_cap", budgets.node_cap)
@@ -367,7 +329,7 @@ def similitude_group(
     perms = set()
     for entries in product(range(q), repeat=n * n):
         g = tuple(entries[i * n : (i + 1) * n] for i in range(n))
-        if rank(g, q) != n or _form_multiplier(model, g) is None:
+        if _form_multiplier(model, g) is None:
             continue
         perms.add(
             tuple(index[normalize_point(mat_vec(g, v, q), q)] for v in atoms)

@@ -43,10 +43,6 @@ def vec_mod(v: Vec, q: int) -> Vec:
     return tuple(x % q for x in v)
 
 
-def vec_add(u: Vec, v: Vec, q: int) -> Vec:
-    return tuple((a + b) % q for a, b in zip(u, v))
-
-
 def vec_scale(c: int, v: Vec, q: int) -> Vec:
     return tuple(c * x % q for x in v)
 
@@ -131,24 +127,6 @@ def in_row_space(basis: Mat, v: Vec, q: int) -> bool:
             c = w[piv]
             w = [(x - c * y) % q for x, y in zip(w, row)]
     return not any(w)
-
-
-def kernel_basis(m: Mat, q: int) -> Mat:
-    """RREF basis of {x : m x = 0}."""
-    if not m:
-        raise InputError("kernel of an empty matrix is ambiguous")
-    ncols = len(m[0])
-    r = rref(m, q)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in r]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, p in zip(r, pivots):
-            v[p] = (-row[f]) % q
-        basis.append(tuple(v))
-    return rref(basis, q)
 
 
 def normalize_point(v: Vec, q: int) -> Vec:

@@ -27,17 +27,15 @@ from .closure import (
 )
 from .errors import BudgetExceeded, DecompositionFailed, InputError
 from .geometry import (
-    Subspace,
     SubspaceModel,
+    _pair_perp,
     build_projective_space,
     linear_map_coatom,
     mo_lattice,
-    orthogonal_complement,
     similitude_group,
-    sigma_down,
     tensor_model,
 )
-from .gf import kron_vec, projective_points, vec_add
+from .gf import mat_mul, projective_points
 from .ortho import (
     OrthoConstruction,
     OrthogonalityRelation,
@@ -665,31 +663,35 @@ def _pipeline_down_properties(
     return certs, (down,)
 
 
+def _entangling_graph(m1: SubspaceModel, m2: SubspaceModel) -> int:
+    """The pairs whose product vector is orthogonal to e0⊗f0 + e1⊗f1, as a
+    pair mask.
+
+    Read as a d1 x d2 matrix, that vector is V with V[0][0] = V[1][1] = 1,
+    and under the Kronecker form <v, v1⊗v2> = v1ᵀ F1 V F2 v2, so the graph
+    is one _pair_perp read.
+    """
+    q = m1.q
+    v = tuple(tuple(int(i == j < 2) for j in range(m2.n)) for i in range(m1.n))
+    return _pair_perp(mat_mul(mat_mul(m1.form, v, q), m2.form, q), m1, m2)
+
+
 def _pipeline_entangling_graph(
     left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
     _require_models(left, right)
-    if left.model.n < 2 or right.model.n < 2:
+    m1, m2 = left.model, right.model
+    if m1.n < 2 or m2.n < 2:
         raise InputError("factors need dimension at least 2")
+    if m1.q != m2.q:
+        raise InputError(f"field mismatch: q={m1.q} vs q={m2.q}")
     certs: dict = {}
-
-    tm = tensor_model(left.model, right.model)
-    q = tm.q
-    e0 = tuple(1 if i == 0 else 0 for i in range(left.model.n))
-    e1 = tuple(1 if i == 1 else 0 for i in range(left.model.n))
-    f0 = tuple(1 if i == 0 else 0 for i in range(right.model.n))
-    f1 = tuple(1 if i == 1 else 0 for i in range(right.model.n))
-    vec = vec_add(kron_vec(e0, f0, q), kron_vec(e1, f1, q), q)
-    line = Subspace.span(tm, [vec])
-    graph = sigma_down(orthogonal_complement(line))
+    graph = _entangling_graph(m1, m2)
 
     down = build_product("down", left, right, budgets)
     grid = down.grid
-    pairs = [list(grid.unindex(k)) for k in graph.members]
-    labeled = [
-        [down.left.label(i1), down.right.label(i2)]
-        for i1, i2 in (grid.unindex(k) for k in graph.members)
-    ]
+    pairs = [list(grid.unindex(k)) for k in bit_members(graph)]
+    labeled = [[down.left.label(i1), down.right.label(i2)] for i1, i2 in pairs]
     certs["graph_pairs"] = pairs
     certs["graph_labels"] = labeled
 
@@ -703,13 +705,13 @@ def _pipeline_entangling_graph(
             )
         )
 
-    checks.append(_check("graph_in_down", down.space.contains_mask(graph.mask)))
+    checks.append(_check("graph_in_down", down.space.contains_mask(graph)))
     # membership in top needs only the section test, so top stays implicit
     # here: materialized, it outgrows family_cap on gf7_2 factors
     top = top_product(down.left, down.right)
-    checks.append(_check("graph_in_top", top.space.contains_mask(graph.mask)))
+    checks.append(_check("graph_in_top", top.space.contains_mask(graph)))
     sep = build_product("sep", left, right, budgets)
-    checks.append(_check("graph_not_in_sep", not sep.space.contains_mask(graph.mask)))
+    checks.append(_check("graph_not_in_sep", not sep.space.contains_mask(graph)))
     return certs, (down,)
 
 

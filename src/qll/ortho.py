@@ -415,6 +415,8 @@ def _pair_join_covers(space: ClosureSpace, caller: str, others: int) -> bool:
     """Two atoms p < q whose join covers p, q and at least `others` further
     atoms."""
     sp = _require_explicit(space, caller)
+    # j covers the atom a iff j is an upper cover of {a}
+    covers = sp.upper_cover_masks
     for p in range(sp.universe_size):
         for q in range(p + 1, sp.universe_size):
             pq = (1 << p) | (1 << q)
@@ -422,9 +424,9 @@ def _pair_join_covers(space: ClosureSpace, caller: str, others: int) -> bool:
             rest = j & ~pq
             if rest.bit_count() < others:
                 continue
-            if not covers_atom(sp, p, j) or not covers_atom(sp, q, j):
+            if j not in covers(1 << p) or j not in covers(1 << q):
                 continue
-            if sum(covers_atom(sp, r, j) for r in bit_members(rest)) >= others:
+            if sum(j in covers(1 << r) for r in bit_members(rest)) >= others:
                 return True
     return False
 
@@ -439,7 +441,3 @@ def four_atom_condition(space: ClosureSpace) -> bool:
     """Four distinct atoms p, q, r, s with p ∨ q covering every one of them."""
     return _pair_join_covers(space, "four_atom_condition", 2)
 
-
-def covers_atom(space: ExplicitSpace, atom: int, upper: int) -> bool:
-    """True iff the closed set with mask upper covers the singleton {atom}."""
-    return upper in space.upper_cover_masks(1 << atom)

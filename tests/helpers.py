@@ -526,6 +526,97 @@ def normalize_and_sort_projective_points(q, n):
 
 
 # ---------------------------------------------------------------------------
+# The row-reduction subspace layer that the perp-table reads replaced: spans,
+# kernels and orthogonal complements in canonical RREF bases, the cnot graph
+# computed through them, and the similitude search with its rank test.
+
+
+def subspace_span(model, vectors):
+    """The subspace of model spanned by vectors."""
+    from qll.geometry import Subspace
+    from qll.gf import rref
+
+    return Subspace(model, rref(vectors, model.q))
+
+
+def subspace_zero(model):
+    from qll.geometry import Subspace
+
+    return Subspace(model, ())
+
+
+def subspace_whole(model):
+    from qll.geometry import Subspace
+    from qll.gf import identity
+
+    return Subspace(model, identity(model.n))
+
+
+def kernel_basis(m, q):
+    """RREF basis of {x : m x = 0}: one free column per basis vector, with
+    the pivot entries read off the RREF of m."""
+    from qll.gf import rref
+
+    ncols = len(m[0])
+    r = rref(m, q)
+    pivots = [next(i for i, x in enumerate(row) if x) for row in r]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for row, p in zip(r, pivots):
+            v[p] = (-row[f]) % q
+        basis.append(tuple(v))
+    return rref(basis, q)
+
+
+def orthogonal_complement(s):
+    """{x : form(b, x) = 0 for every basis vector b of s}."""
+    from qll.geometry import Subspace
+    from qll.gf import mat_vec
+
+    model = s.model
+    if s.dim == 0:
+        return subspace_whole(model)
+    pairing = tuple(mat_vec(model.form, b, model.q) for b in s.basis)
+    return Subspace(model, kernel_basis(pairing, model.q))
+
+
+def subspace_entangling_graph(m1, m2):
+    """sigma_down of the orthocomplement of the line through e0⊗f0 + e1⊗f1
+    in the tensor model, as a pair mask."""
+    from qll.geometry import sigma_down, tensor_model
+
+    vec = [0] * (m1.n * m2.n)
+    vec[0] = vec[m2.n + 1] = 1  # coordinates (0, 0) and (1, 1)
+    line = subspace_span(tensor_model(m1, m2), [tuple(vec)])
+    return sigma_down(orthogonal_complement(line)).mask
+
+
+def rank_filtered_similitude_group(model):
+    """Image tuples, sorted, of the projective action of every g of full
+    rank with gᵀFg = cF for some c != 0, one matrix at a time."""
+    from qll.gf import mat_mul, mat_vec, normalize_point, rank, transpose
+
+    q, n, form, index = model.q, model.n, model.form, model.atom_index
+    perms = set()
+    for entries in product(range(q), repeat=n * n):
+        g = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        if rank(g, q) != n:
+            continue
+        m = mat_mul(transpose(g), mat_mul(form, g, q), q)
+        if not any(
+            all(m[i][j] == c * form[i][j] % q for i in range(n) for j in range(n))
+            for c in range(1, q)
+        ):
+            continue
+        perms.add(
+            tuple(index[normalize_point(mat_vec(g, v, q), q)] for v in model.atom_table)
+        )
+    return sorted(perms)
+
+
+# ---------------------------------------------------------------------------
 # The coatomistic test that the closure kernel replaced.
 
 

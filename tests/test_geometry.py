@@ -10,19 +10,22 @@ from helpers import (
     form_loop_perp_masks,
     full_enumeration_projective_space,
     naive_span,
+    orthogonal_complement,
     pair_loop_linear_map_coatom,
+    rank_filtered_similitude_group,
     subspace_atom_set,
+    subspace_span,
+    subspace_whole,
+    subspace_zero,
 )
 from qll.atomset import AtomSet
 from qll.errors import DegenerateFormError, InputError, IsotropicAtomError
 from qll.geometry import (
-    Subspace,
     SubspaceModel,
     build_projective_space,
     enumerate_subspaces,
     linear_map_coatom,
     mo_lattice,
-    orthogonal_complement,
     sigma_down,
     similitude_group,
     tensor_model,
@@ -67,17 +70,17 @@ def test_gf2_identity_form_is_isotropic():
 
 def test_subspace_span_and_membership():
     model = SubspaceModel.create(3, 2)
-    s = Subspace.span(model, [(1, 2)])
+    s = subspace_span(model, [(1, 2)])
     assert s.dim == 1
     assert s.contains((2, 1))  # 2*(1,2) = (2,4) = (2,1)
     assert not s.contains((1, 1))
-    assert Subspace.zero(model).dim == 0
-    assert Subspace.whole(model).dim == 2
+    assert subspace_zero(model).dim == 0
+    assert subspace_whole(model).dim == 2
 
 
 def test_subspace_atom_set_matches_naive_span(gf3_2):
     model = gf3_2.model
-    s = Subspace.span(model, [(1, 1)])
+    s = subspace_span(model, [(1, 1)])
     atom_set = subspace_atom_set(s)
     pts = {model.atom_table[i] for i in atom_set.members}
     span_pts = {v for v in naive_span([(1, 1)], 3) if any(v)}
@@ -205,6 +208,22 @@ def test_similitude_group_is_transitive(gf3_2):
     assert len(orbits(sims, 4)) == 1
 
 
+SIMILITUDE_MODELS = {
+    "gf3_2": (3, 2, None),
+    "gf5_2": (5, 2, ((1, 0), (0, 2))),
+    "gf7_2": (7, 2, None),
+    "gf11_2": (11, 2, None),
+    "gf3_3": (3, 3, None),
+}
+
+
+@pytest.mark.parametrize("name", SIMILITUDE_MODELS)
+def test_similitude_group_matches_rank_filtered_search(name):
+    model = SubspaceModel.create(*SIMILITUDE_MODELS[name])
+    sims = similitude_group(model)
+    assert [u.image for u in sims] == rank_filtered_similitude_group(model)
+
+
 def test_tensor_model_form_is_kronecker(gf3_2):
     tm = tensor_model(gf3_2.model, gf3_2.model)
     assert tm.q == 3 and tm.n == 4
@@ -221,16 +240,16 @@ def test_product_atoms_embed_into_grid(gf3_2, gf3_tensor):
     tm = gf3_tensor.model
     # product atoms (v1 (x) v2) occupy pair slots i1*n2+i2; entangled lines
     # have empty image
-    prod = Subspace.span(tm, [(1, 0, 0, 0)])  # (1,0) (x) (1,0)
+    prod = subspace_span(tm, [(1, 0, 0, 0)])  # (1,0) (x) (1,0)
     img = sigma_down(prod)
     assert img.members == (1 * 4 + 1,)
 
-    ent = Subspace.span(tm, [(1, 0, 0, 1)])  # e00 + e11, entangled
+    ent = subspace_span(tm, [(1, 0, 0, 1)])  # e00 + e11, entangled
     assert sigma_down(ent).members == ()
 
 
 def test_sigma_down_requires_tensor_model(gf3_2):
-    s = Subspace.span(gf3_2.model, [(1, 0)])
+    s = subspace_span(gf3_2.model, [(1, 0)])
     with pytest.raises(InputError):
         sigma_down(s)
 
@@ -238,7 +257,7 @@ def test_sigma_down_requires_tensor_model(gf3_2):
 def test_sigma_down_of_row_subspace(gf3_2, gf3_tensor):
     tm = gf3_tensor.model
     # span of (1,0)(x)(1,0) and (1,0)(x)(0,1) is the whole first row
-    row = Subspace.span(tm, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    row = subspace_span(tm, [(1, 0, 0, 0), (0, 1, 0, 0)])
     img = sigma_down(row)
     assert img.members == (1 * 4 + 0, 1 * 4 + 1, 1 * 4 + 2, 1 * 4 + 3)
 

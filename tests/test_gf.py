@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import naive_span, normalize_and_sort_projective_points
+from helpers import kernel_basis, naive_span, normalize_and_sort_projective_points
 from qll.errors import InputError
 from qll.gf import (
     count_subspaces,
@@ -11,7 +11,6 @@ from qll.gf import (
     inv_mod,
     is_prime,
     identity,
-    kernel_basis,
     kron,
     kron_vec,
     mat_mul,

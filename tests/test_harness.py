@@ -93,6 +93,8 @@ def test_verify_rejects_bad_factors():
         verify("thm10.4", "mo2", "mo2")
     with pytest.raises(InputError):
         verify("thm7.5", "boolean2", "boolean2")
+    with pytest.raises(InputError, match="field mismatch: q=3 vs q=5"):
+        verify("cnot", "gf3_2", "gf5_2")
     # gf3_tensor carries no atom orthogonality; both claims must refuse it
     # before they build a product
     for tid in ("thm8.6", "thm9.1"):

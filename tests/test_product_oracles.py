@@ -6,7 +6,9 @@ factors.  The row walk behind star is also checked against the
 one-generator-at-a-time closure that sep uses, on all three generator
 kinds, down's hyperplane images and flats against the dot-product images
 and their closure, and the packed section search against the prefix-set
-search it replaced, leaf for leaf and node for node."""
+search it replaced, leaf for leaf and node for node.  cnot's graph, one
+perp-table read, is checked against the orthocomplement of the entangled
+line computed by row reduction."""
 
 from __future__ import annotations
 
@@ -24,12 +26,13 @@ from helpers import (
     pairwise_close_under_intersections,
     prefix_section_search,
     row_assignment_top_masks,
+    subspace_entangling_graph,
 )
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import BudgetExceeded
 from qll.geometry import SubspaceModel, _flats, build_projective_space
 from qll.gf import dot, projective_points, rank
-from qll.harness import resolve_base
+from qll.harness import _entangling_graph, resolve_base
 from qll.products import (
     _close_under_intersections,
     _generated_family,
@@ -272,3 +275,33 @@ def test_section_search_matches_prefix_search(a, b, kind, edge):
         with pytest.raises(BudgetExceeded) as exc:
             search(rows, cols, n1, n2, passing.with_overrides(node_cap=edge - 1))
         assert exc.value.budget_name == "node_cap"
+
+
+CNOT_MODELS = {
+    "gf3_2": (3, 2, None),
+    "gf5_2": (5, 2, ((1, 0), (0, 2))),
+    "gf7_2": (7, 2, None),
+    "gf11_2": (11, 2, None),
+    "gf3_3": (3, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 2))),
+    # W = F1 V F2 has a nonzero entry outside its leading 2 x 2 block only
+    # under a form like this one, so only these pairs tell W from its
+    # transpose
+    "gf3_3b": (3, 3, ((1, 0, 1), (0, 1, 0), (1, 0, 2))),
+}
+CNOT_PAIRS = [
+    ("gf3_2", "gf3_2"),
+    ("gf5_2", "gf5_2"),
+    ("gf7_2", "gf7_2"),
+    ("gf11_2", "gf11_2"),
+    ("gf3_2", "gf3_3"),
+    ("gf3_3", "gf3_2"),
+    ("gf3_2", "gf3_3b"),
+    ("gf3_3b", "gf3_2"),
+]
+
+
+@pytest.mark.parametrize("a,b", CNOT_PAIRS, ids=[f"{a},{b}" for a, b in CNOT_PAIRS])
+def test_entangling_graph_matches_orthocomplement_image(a, b):
+    m1 = SubspaceModel.create(*CNOT_MODELS[a])
+    m2 = SubspaceModel.create(*CNOT_MODELS[b])
+    assert _entangling_graph(m1, m2) == subspace_entangling_graph(m1, m2)
