@@ -90,7 +90,6 @@ from .export import export_dot
 from .harness import (
     CheckResult,
     NamedInstance,
-    ResolvedInstance,
     TheoremReport,
     build_product,
     list_instances,

@@ -17,9 +17,9 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import _dac_checks, find_covering_violation
 from .errors import BudgetExceeded, DecompositionFailed, QllError
 from .export import export_dot
-from .geometry import similitude_group
 from .harness import (
-    ResolvedInstance,
+    NamedInstance,
+    _p4_check,
     list_instances,
     list_theorems,
     resolve_instance,
@@ -31,7 +31,7 @@ from .ortho import (
     find_orthomodularity_violation,
     ortho_from_atom_orthogonality,
 )
-from .products import check_p123, check_p4
+from .products import check_p123
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -73,7 +73,7 @@ def _emit(args: argparse.Namespace, payload, raw: bool = False) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _instance_ortho(inst: ResolvedInstance):
+def _instance_ortho(inst: NamedInstance):
     """An orthocomplementation candidate for omod checks: the instance's own
     atom orthogonality, or the cross relation on a sep product of
     orthocomplemented factors."""
@@ -92,10 +92,17 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    name = f"{args.product}({args.left},{args.right})"
-    inst = resolve_instance(name, _budgets(args))
-    _emit(args, inst.to_json())
-    return EXIT_OK
+    args.name = f"{args.product}({args.left},{args.right})"
+    return cmd_build(args)
+
+
+def _answer(args: argparse.Namespace, inst: NamedInstance, payload: dict, ok: bool) -> int:
+    _emit(args, {"instance": inst.name, "property": args.property, **payload})
+    return EXIT_OK if ok else EXIT_FALSIFIED
+
+
+def _witness(found) -> dict | None:
+    return None if found is None else found.to_json()
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -105,8 +112,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if prop == "ortho":
         res = find_orthocomplementations(inst.space, budgets=budgets)
-        _emit(args, {"instance": inst.name, "property": prop, **res.to_json()})
-        return EXIT_OK if res.maps else EXIT_FALSIFIED
+        return _answer(args, inst, res.to_json(), bool(res.maps))
 
     if prop == "omod":
         cons = _instance_ortho(inst)
@@ -118,84 +124,36 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
             return EXIT_USAGE
         viol = find_orthomodularity_violation(inst.space, cons.ortho)
-        _emit(
-            args,
-            {
-                "instance": inst.name,
-                "property": prop,
-                "orthomodular": viol is None,
-                "witness": None if viol is None else viol.to_json(),
-            },
-        )
-        return EXIT_OK if viol is None else EXIT_FALSIFIED
+        payload = {"orthomodular": viol is None, "witness": _witness(viol)}
+        return _answer(args, inst, payload, viol is None)
 
     if prop == "covering":
         viol = find_covering_violation(inst.space)
-        _emit(
-            args,
-            {
-                "instance": inst.name,
-                "property": prop,
-                "holds": viol is None,
-                "witness": None if viol is None else viol.to_json(),
-            },
-        )
-        return EXIT_OK if viol is None else EXIT_FALSIFIED
+        payload = {"holds": viol is None, "witness": _witness(viol)}
+        return _answer(args, inst, payload, viol is None)
 
     if prop == "dac":
         atomistic, coatomistic, cov, dual, dac = _dac_checks(inst.space)
-        result = {
-            "instance": inst.name,
-            "property": prop,
+        payload = {
             "atomistic": atomistic,
             "coatomistic": coatomistic,
             "covering": cov is None,
             "dual_covering": dual is None,
             "dac": dac,
-            "witness": None if dual is None else dual.to_json(),
+            "witness": _witness(dual),
         }
-        _emit(args, result)
-        return EXIT_OK if dac else EXIT_FALSIFIED
+        return _answer(args, inst, payload, dac)
 
+    # p123 and p4, the choices left
+    if inst.product is None:
+        print(f"{prop} applies to product instances", file=sys.stderr)
+        return EXIT_USAGE
     if prop == "p123":
-        if inst.product is None:
-            print("p123 applies to product instances", file=sys.stderr)
-            return EXIT_USAGE
         report = check_p123(inst.product)
-        _emit(args, {"instance": inst.name, "property": prop, **report.to_json()})
-        return EXIT_OK if report.passed else EXIT_FALSIFIED
-
-    if prop == "p4":
-        if inst.product is None:
-            print("p4 applies to product instances", file=sys.stderr)
-            return EXIT_USAGE
-        if args.symmetries == "similitudes":
-            if inst.left.model is None or inst.right.model is None:
-                print("similitudes need finite-field factors", file=sys.stderr)
-                return EXIT_USAGE
-            t1 = similitude_group(inst.left.model, budgets)
-            t2 = similitude_group(inst.right.model, budgets)
-            pairs = len(t1) * len(t2)
-        else:
-            c1 = automorphism_chain(inst.product.left, budgets)
-            c2 = automorphism_chain(inst.product.right, budgets)
-            t1, t2 = c1.generators, c2.generators
-            pairs = c1.order * c2.order
-        report = check_p4(inst.product, t1, t2)
-        _emit(
-            args,
-            {
-                "instance": inst.name,
-                "property": prop,
-                "symmetries": args.symmetries,
-                "pairs": pairs,
-                **report.to_json(),
-            },
-        )
-        return EXIT_OK if report.passed else EXIT_FALSIFIED
-
-    print(f"unknown property {prop!r}", file=sys.stderr)
-    return EXIT_USAGE
+        return _answer(args, inst, report.to_json(), report.passed)
+    report, pairs = _p4_check(inst.product, inst.left, inst.right, args.symmetries, budgets)
+    payload = {"symmetries": args.symmetries, "pairs": pairs, **report.to_json()}
+    return _answer(args, inst, payload, report.passed)
 
 
 def cmd_aut(args: argparse.Namespace) -> int:
@@ -316,11 +274,8 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return args.fn(args)
     except BudgetExceeded as exc:
-        print(
-            json.dumps(
-                {"verdict": "inconclusive-budget", "budget": exc.budget_name, "cap": exc.cap}
-            )
-        )
+        payload = {"verdict": "inconclusive-budget", "budget": exc.budget_name, "cap": exc.cap}
+        _emit(args, json.dumps(payload), raw=True)
         print(f"budget {exc.budget_name} (cap {exc.cap}) ran out", file=sys.stderr)
         return EXIT_BUDGET
     except QllError as exc:

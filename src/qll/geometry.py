@@ -27,6 +27,7 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import ExplicitSpace, _transpose, space_from_masks
 from .errors import (
     BudgetExceeded,
+    ContractViolation,
     DegenerateFormError,
     InputError,
     IsotropicAtomError,
@@ -343,6 +344,8 @@ def _pair_perp(w: Mat, m1: SubspaceModel, m2: SubspaceModel) -> int:
     v1ᵀ W v2 = u·v2 with u = v1ᵀW, so row p1 is u^perp in the second
     model's perp table (the whole row when u = 0).
     """
+    if len(w) != m1.n or any(len(row) != m2.n for row in w):
+        raise ContractViolation(f"W must be {m1.n} x {m2.n}")
     q, n2, perp = m1.q, m2.atom_count, m2._perp
     cols = tuple(zip(*w))
     mask = 0

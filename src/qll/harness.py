@@ -18,7 +18,6 @@ from .atomset import bit_members
 from .automorphisms import automorphism_chain, decompose_automorphism
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
-    ClosureSpace,
     ExplicitSpace,
     _dac_checks,
     find_covering_violation,
@@ -46,6 +45,7 @@ from .ortho import (
     third_atom_condition,
 )
 from .products import (
+    AxiomReport,
     PairGrid,
     ProductInstance,
     check_p123,
@@ -70,13 +70,32 @@ VERDICT_DIVERGENCE = "analog-divergence"
 
 @dataclass(frozen=True)
 class NamedInstance:
-    """A registered base space: lattice plus optional orthogonality/model."""
+    """A resolved name: a registered base space with its optional
+    orthogonality and model, or a product with the two bases it came from."""
 
     name: str
     space: ExplicitSpace
     relation: OrthogonalityRelation | None = None
     model: SubspaceModel | None = None
     boolean: bool = False
+    product: ProductInstance | None = None
+    left: NamedInstance | None = None
+    right: NamedInstance | None = None
+
+    def to_json(self) -> dict:
+        if self.product is not None:
+            out = self.product.to_json()
+            out["name"] = self.name
+            if self.left is not None and self.right is not None:
+                out["factors"] = [self.left.name, self.right.name]
+            return out
+        out = space_to_json(self.space)
+        out["name"] = self.name
+        if self.relation is not None:
+            out["orthogonality"] = self.relation.to_json()
+        if self.model is not None:
+            out["model"] = self.model.to_json()
+        return out
 
 
 def _build_mo(n: int) -> Callable[[Budgets], NamedInstance]:
@@ -153,34 +172,6 @@ def resolve_base(name: str, budgets: Budgets = DEFAULT_BUDGETS) -> NamedInstance
     return builder(budgets)
 
 
-@dataclass(frozen=True)
-class ResolvedInstance:
-    """A registry name resolved to a concrete space, with its provenance."""
-
-    name: str
-    space: ClosureSpace
-    product: ProductInstance | None = None
-    relation: OrthogonalityRelation | None = None
-    model: SubspaceModel | None = None
-    left: NamedInstance | None = None
-    right: NamedInstance | None = None
-
-    def to_json(self) -> dict:
-        if self.product is not None:
-            out = self.product.to_json()
-            out["name"] = self.name
-            if self.left is not None and self.right is not None:
-                out["factors"] = [self.left.name, self.right.name]
-            return out
-        out = space_to_json(self.space)
-        out["name"] = self.name
-        if self.relation is not None:
-            out["orthogonality"] = self.relation.to_json()
-        if self.model is not None:
-            out["model"] = self.model.to_json()
-        return out
-
-
 def build_product(
     kind: str,
     left: NamedInstance,
@@ -203,19 +194,16 @@ def build_product(
     raise InputError(f"unknown product kind {kind!r}")
 
 
-def resolve_instance(name: str, budgets: Budgets = DEFAULT_BUDGETS) -> ResolvedInstance:
+def resolve_instance(name: str, budgets: Budgets = DEFAULT_BUDGETS) -> NamedInstance:
     """Resolve a base name or a product expression like sep(mo2,mo2)."""
     m = _PRODUCT_RE.match(name.strip())
     if m is None:
-        base = resolve_base(name.strip(), budgets)
-        return ResolvedInstance(
-            base.name, base.space, relation=base.relation, model=base.model
-        )
+        return resolve_base(name.strip(), budgets)
     kind, lname, rname = m.groups()
     left = resolve_base(lname, budgets)
     right = resolve_base(rname, budgets)
     inst = build_product(kind, left, right, budgets)
-    return ResolvedInstance(
+    return NamedInstance(
         f"{kind}({left.name},{right.name})",
         inst.space,
         product=inst,
@@ -292,9 +280,11 @@ def _check(name: str, passed: bool, **details) -> CheckResult:
 
 # A pipeline receives the resolved factors and appends its checks to the list
 # verify passes in, so the checks finished before a budget overrun survive
-# into the report.  It checks every precondition before it builds a product,
+# into the report.  It checks its preconditions before it builds a product,
 # builds each product through build_product, and returns its certificates and
-# the products the report embeds, in order.
+# the products the report embeds, in order.  build_product is the
+# finite-field gate: down refuses factors without models, and factors over
+# different fields, so a pipeline that needs models builds down first.
 PipelineResult = tuple[dict, tuple[ProductInstance, ...]]
 
 
@@ -326,9 +316,26 @@ def _require_relation(inst: NamedInstance) -> OrthogonalityRelation:
     return inst.relation
 
 
-def _require_models(left: NamedInstance, right: NamedInstance) -> None:
-    if left.model is None or right.model is None:
-        raise InputError("this claim needs finite-field factors")
+def _p4_check(
+    product: ProductInstance,
+    left: NamedInstance,
+    right: NamedInstance,
+    symmetries: str,
+    budgets: Budgets,
+) -> tuple[AxiomReport, int]:
+    """P4 on a product of left and right under pairs of factor symmetries,
+    with the number of pairs: the similitudes of both models
+    ("similitudes"), or every factor automorphism ("aut"), given by the
+    stabilizer-chain generators."""
+    if symmetries == "similitudes":
+        if left.model is None or right.model is None:
+            raise InputError("similitudes need finite-field factors")
+        t1 = similitude_group(left.model, budgets)
+        t2 = similitude_group(right.model, budgets)
+        return check_p4(product, t1, t2), len(t1) * len(t2)
+    c1 = automorphism_chain(product.left, budgets)
+    c2 = automorphism_chain(product.right, budgets)
+    return check_p4(product, c1.generators, c2.generators), c1.order * c2.order
 
 
 def _search_summary(res) -> dict:
@@ -547,7 +554,6 @@ def _pipeline_automorphisms_decompose(
 def _pipeline_down_properties(
     left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
-    _require_models(left, right)
     certs: dict = {}
 
     down = build_product("down", left, right, budgets)
@@ -564,34 +570,22 @@ def _pipeline_down_properties(
             )
         )
 
-    sims_l = similitude_group(left.model, budgets)
-    sims_r = similitude_group(right.model, budgets)
-    p4_sims = check_p4(down, sims_l, sims_r)
-    checks.append(
-        _check(
-            "axiom_p4_similitude_pairs",
-            p4_sims.check("P4").passed,
-            pairs=len(sims_l) * len(sims_r),
-        )
-    )
+    p4_sims, pairs = _p4_check(down, left, right, "similitudes", budgets)
+    checks.append(_check("axiom_p4_similitude_pairs", p4_sims.passed, pairs=pairs))
 
-    aut_l = automorphism_chain(left.space, budgets)
-    aut_r = automorphism_chain(right.space, budgets)
-    p4_full = check_p4(down, aut_l.generators, aut_r.generators)
+    p4_full, pairs = _p4_check(down, left, right, "aut", budgets)
     # the claim expects covariance to BREAK for some full factor-automorphism
     # pair; if every pair is covariant the finite model diverges on this point
     checks.append(
         _check(
             "axiom_p4_full_aut_fails",
-            not p4_full.check("P4").passed,
+            not p4_full.passed,
             expected="some factor-automorphism pair is not covariant",
             observed=(
-                "all pairs covariant"
-                if p4_full.check("P4").passed
-                else "non-covariant pair found"
+                "all pairs covariant" if p4_full.passed else "non-covariant pair found"
             ),
-            pairs=aut_l.order * aut_r.order,
-            witnesses=[w for w in p4_full.check("P4").witnesses],
+            pairs=pairs,
+            witnesses=list(p4_full.check("P4").witnesses),
         )
     )
 
@@ -679,16 +673,12 @@ def _entangling_graph(m1: SubspaceModel, m2: SubspaceModel) -> int:
 def _pipeline_entangling_graph(
     left: NamedInstance, right: NamedInstance, budgets: Budgets, checks: list[CheckResult]
 ) -> PipelineResult:
-    _require_models(left, right)
-    m1, m2 = left.model, right.model
+    down = build_product("down", left, right, budgets)
+    m1, m2 = down.models
     if m1.n < 2 or m2.n < 2:
         raise InputError("factors need dimension at least 2")
-    if m1.q != m2.q:
-        raise InputError(f"field mismatch: q={m1.q} vs q={m2.q}")
     certs: dict = {}
     graph = _entangling_graph(m1, m2)
-
-    down = build_product("down", left, right, budgets)
     grid = down.grid
     pairs = [list(grid.unindex(k)) for k in bit_members(graph)]
     labeled = [[down.left.label(i1), down.right.label(i2)] for i1, i2 in pairs]

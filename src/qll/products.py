@@ -722,37 +722,21 @@ def interval_check(
     The witnesses are canonical-first members of the differences: a member of
     the instance outside sep, and a section-closed set outside the instance.
     """
-    sepi = sep_product(instance.left, instance.right, budgets)
-    sep_space = sepi.space
+    sep_space = sep_product(instance.left, instance.right, budgets).space
     space = instance.space
-
     contains_sep = all(space.contains_mask(m) for m in sep_space.masks)
+    if not space.is_explicit:
+        return IntervalReport(contains_sep, True, None, None, None, None)
 
-    topi = top_product(instance.left, instance.right)
-    inside_top = True
-    sep_strict: bool | None = None
-    sep_witness = None
-    top_strict: bool | None = None
-    top_witness = None
-
-    if space.is_explicit:
-        for m in space.masks:
-            if not topi.space.contains_mask(m):
-                inside_top = False
-                break
-        sep_strict = False
-        for m in space.masks:
-            if not sep_space.contains_mask(m):
-                sep_strict = True
-                sep_witness = bit_members(m)
-                break
-        top_explicit = materialize_top_product(instance.left, instance.right, budgets)
-        top_strict = False
-        for m in top_explicit.space.masks:
-            if not space.contains_mask(m):
-                top_strict = True
-                top_witness = bit_members(m)
-                break
+    top = materialize_top_product(instance.left, instance.right, budgets).space
+    inside_top = all(top.contains_mask(m) for m in space.masks)
+    sep_witness = next((m for m in space.masks if not sep_space.contains_mask(m)), None)
+    top_witness = next((m for m in top.masks if not space.contains_mask(m)), None)
     return IntervalReport(
-        contains_sep, inside_top, sep_strict, top_strict, sep_witness, top_witness
+        contains_sep,
+        inside_top,
+        sep_witness is not None,
+        top_witness is not None,
+        None if sep_witness is None else bit_members(sep_witness),
+        None if top_witness is None else bit_members(top_witness),
     )

@@ -765,3 +765,13 @@ def count_dot_elements(dot):
     nodes = sum(1 for line in dot.splitlines() if "[label=" in line)
     edges = sum(1 for line in dot.splitlines() if "->" in line)
     return nodes, edges
+
+
+def implicit_inside_top(instance):
+    """Every member of the product family has closed sections, tested
+    through top_product's implicit membership: the scan interval_check ran
+    before it read inside_top off the materialized top."""
+    from qll.products import top_product
+
+    top = top_product(instance.left, instance.right).space
+    return all(top.contains_mask(m) for m in instance.space.masks)

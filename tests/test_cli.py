@@ -200,6 +200,43 @@ def test_budget_flag_on_build(capsys):
     assert data["budget"] == "family_cap"
 
 
+def test_budget_payload_honours_out(capsys, tmp_path):
+    path = tmp_path / "x.json"
+    code, out, err = _run(capsys, "build", "top(mo3,mo3)", "--budget-family", "10",
+                          "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "family_cap" in err
+    assert json.loads(path.read_text()) == {
+        "verdict": "inconclusive-budget", "budget": "family_cap", "cap": 10
+    }
+
+
+def _child_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_budget_payload_to_closed_stdout_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the payload write meets a closed pipe
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qll.cli", "build", "top(mo3,mo3)",
+             "--budget-family", "10"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    err = err.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_export_dot_and_json(capsys, tmp_path):
     code, out, _ = _run(capsys, "export", "--dot", "mo2")
     assert code == 0
@@ -251,13 +288,11 @@ def test_usage_errors_exit_3(capsys):
 def test_closed_stdout_ends_quietly():
     # about 97 KB of JSON, more than a pipe buffer holds, so the write
     # meets the closed pipe
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "qll.cli", "build", "down(gf7_2,gf7_2)"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.stdout.read(10) == b'{\n  "produ'
     proc.stdout.close()

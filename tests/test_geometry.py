@@ -19,9 +19,15 @@ from helpers import (
     subspace_zero,
 )
 from qll.atomset import AtomSet
-from qll.errors import DegenerateFormError, InputError, IsotropicAtomError
+from qll.errors import (
+    ContractViolation,
+    DegenerateFormError,
+    InputError,
+    IsotropicAtomError,
+)
 from qll.geometry import (
     SubspaceModel,
+    _pair_perp,
     build_projective_space,
     enumerate_subspaces,
     linear_map_coatom,
@@ -260,6 +266,19 @@ def test_sigma_down_of_row_subspace(gf3_2, gf3_tensor):
     row = subspace_span(tm, [(1, 0, 0, 0), (0, 1, 0, 0)])
     img = sigma_down(row)
     assert img.members == (1 * 4 + 0, 1 * 4 + 1, 1 * 4 + 2, 1 * 4 + 3)
+
+
+def test_pair_perp_checks_the_shape_of_w():
+    m1 = SubspaceModel.create(3, 2)
+    m2 = SubspaceModel.create(3, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 2)))
+    w = ((1, 0, 2), (0, 1, 1))
+    mask = _pair_perp(w, m1, m2)
+    assert 0 < mask < 1 << (m1.atom_count * m2.atom_count)
+    # the transposed 3 x 2 matrix would zip short against both factors
+    with pytest.raises(ContractViolation):
+        _pair_perp(tuple(zip(*w)), m1, m2)
+    with pytest.raises(ContractViolation):
+        _pair_perp((w[0], w[1][:2]), m1, m2)
 
 
 def test_linear_map_coatom_hand_value(gf3_2):

@@ -10,9 +10,14 @@ from qll.cli import main
 
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import InputError
+from qll.products import check_p4
+from qll.automorphisms import automorphism_chain
 from qll.harness import (
     THEOREMS,
+    NamedInstance,
     TheoremReport,
+    _p4_check,
+    build_product,
     list_instances,
     list_theorems,
     pair_relation,
@@ -79,6 +84,64 @@ def test_base_instance_json_carries_model(capfd):
     assert data["model"]["q"] == 3
     assert "orthogonality" in data
     json.dumps(data)  # serializable
+
+
+def test_resolve_base_name_is_the_registry_record():
+    inst = resolve_instance("gf3_2")
+    assert isinstance(inst, NamedInstance)
+    assert inst.boolean is False
+    assert inst.relation is not None and inst.model is not None
+    assert inst.product is None and inst.left is None and inst.right is None
+    assert resolve_instance("boolean2").boolean is True
+
+
+def test_resolve_product_carries_its_factors():
+    inst = resolve_instance("star(mo2,gf3_2)")
+    assert isinstance(inst.left, NamedInstance) and isinstance(inst.right, NamedInstance)
+    assert (inst.left.name, inst.right.name) == ("mo2", "gf3_2")
+    assert inst.right.model is not None
+    assert inst.relation is None and inst.model is None
+    assert inst.space is inst.product.space
+    assert inst.to_json()["factors"] == ["mo2", "gf3_2"]
+
+
+def test_p4_check_matches_thm10_4():
+    gf = resolve_base("gf3_2")
+    down = build_product("down", gf, gf)
+    checks = {c.name: c for c in verify("thm10.4").checks}
+
+    sims, pairs = _p4_check(down, gf, gf, "similitudes", DEFAULT_BUDGETS)
+    reported = checks["axiom_p4_similitude_pairs"]
+    assert pairs == reported.details["pairs"] == 64
+    assert sims.passed is reported.passed is True
+
+    full, pairs = _p4_check(down, gf, gf, "aut", DEFAULT_BUDGETS)
+    reported = checks["axiom_p4_full_aut_fails"]
+    assert pairs == reported.details["pairs"] == 576
+    assert full.passed is not reported.passed
+    assert list(full.check("P4").witnesses) == reported.details["witnesses"]
+
+
+def test_p4_check_matches_cli_on_sep_mo2_mo3(capsys):
+    inst = resolve_instance("sep(mo2,mo3)")
+    report, pairs = _p4_check(inst.product, inst.left, inst.right, "aut", DEFAULT_BUDGETS)
+    assert pairs == 24 * 720 == 17_280
+    # the factor order matters: mo2's automorphisms act on the rows, mo3's
+    # on the columns
+    c1 = automorphism_chain(inst.left.space)
+    c2 = automorphism_chain(inst.right.space)
+    assert report == check_p4(inst.product, c1.generators, c2.generators)
+    assert report.passed
+
+    assert main(["check", "--property", "p4", "sep(mo2,mo3)"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {
+        "instance": "sep(mo2,mo3)",
+        "property": "p4",
+        "symmetries": "aut",
+        "pairs": pairs,
+        **report.to_json(),
+    }
 
 
 def test_verify_unknown_theorem():

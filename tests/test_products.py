@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     coordinate_set_p3_witnesses,
     family_as_sets,
+    implicit_inside_top,
     naive_sep_family,
     naive_star_family,
     naive_star_generators,
@@ -41,7 +42,7 @@ from qll.products import (
 )
 from qll.automorphisms import AtomPermutation, automorphism_chain, automorphism_group
 from qll.geometry import similitude_group
-from qll.harness import resolve_base
+from qll.harness import resolve_base, resolve_instance
 
 
 def _mo2_sets(mo2):
@@ -389,6 +390,25 @@ def test_interval_check_down(down_gg):
     iv = interval_check(down_gg)
     assert iv.contains_sep and iv.inside_top
     assert iv.sep_strict and iv.top_strict
+
+
+@pytest.mark.parametrize(
+    "name", ["down(gf3_2,gf3_2)", "down(gf5_2,gf5_2)", "star(mo2,mo2)", "sep(mo2,mo3)"]
+)
+def test_interval_check_inside_top_matches_implicit_scan(name):
+    inst = resolve_instance(name).product
+    assert interval_check(inst).inside_top == implicit_inside_top(inst)
+
+
+def test_interval_check_outside_top(mo2, boolean2):
+    # every subset of the grid: it holds sep and top, but a mo2 column of
+    # two atoms is not closed
+    grid = PairGrid(4, 2)
+    inst = ProductInstance("all", mo2.space, boolean2.space, powerset_space(8), grid)
+    iv = interval_check(inst)
+    assert iv.inside_top is implicit_inside_top(inst) is False
+    assert iv.contains_sep and iv.sep_strict
+    assert iv.top_strict is False and iv.top_witness is None
 
 
 def test_down_needs_budget(gf3_2):
