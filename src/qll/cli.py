@@ -46,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _cap(text: str) -> int:
+    """A budget cap from the command line: a whole number, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 def _budgets(args: argparse.Namespace) -> Budgets:
     overrides = {}
     if args.budget_family is not None:
@@ -206,11 +217,11 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget-family", type=int, default=None, metavar="N",
+    sub.add_argument("--budget-family", type=_cap, default=None, metavar="N",
                      help="cap on closed-set family size")
-    sub.add_argument("--budget-nodes", type=int, default=None, metavar="N",
+    sub.add_argument("--budget-nodes", type=_cap, default=None, metavar="N",
                      help="cap on search nodes")
-    sub.add_argument("--budget-subspaces", type=int, default=None, metavar="N",
+    sub.add_argument("--budget-subspaces", type=_cap, default=None, metavar="N",
                      help="cap on enumerated subspaces")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the result here instead of stdout")

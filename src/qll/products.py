@@ -29,12 +29,13 @@ sep, star and down are the intersection closures of their generators.
 sep has few (the crosses) and is built one generator at a time by
 _close_under_intersections, at O(|gens|·|family|) intersections.  star
 has many more (756 on mo3 x mo3), so _generated_family lists its closed
-sets by a row walk over a transposed index of the generators, with work
-that grows with the family; on sep that walk is measured slower, so it
-keeps the closure.  down takes its generators and its flats from
-geometry, which lists the factor lattices the same way: _pair_perp reads
-each hyperplane image row by row from a perp table, and _flats lists the
-flats rank by rank from the same kind of index.
+sets by a row walk that reads the meet of the generators containing each
+row prefix from per-row buckets, with work that grows with the family; on
+sep that walk is measured slower, so it keeps the closure.  down takes its
+generators and its flats from geometry, which lists the factor lattices
+the same way: _pair_perp reads each hyperplane image row by row from a
+perp table, and _flats lists the flats rank by rank from a transposed
+index of the generators.
 
 All four contain the crosses and have closed sections, so sep <= X <= top
 as families; interval_check certifies those inclusions and exhibits
@@ -54,7 +55,6 @@ from .closure import (
     ExplicitSpace,
     ImplicitSpace,
     _require_explicit,
-    _transpose,
     is_coatomistic,
     space_from_masks,
     space_to_json,
@@ -225,69 +225,83 @@ def _generated_family(
     budgets: Budgets,
 ) -> list[int]:
     """The intersections of gens (the full grid, the empty intersection,
-    among them), unordered, by a row walk over a transposed index of gens.
-    Every row of every such intersection must lie in row_options, listed
-    without repeats.
+    among them), unordered, by a row walk that reads the meet of the live
+    generators from per-row buckets.  Every row of every such intersection
+    must lie in row_options, listed without repeats.
 
-    A set X is an intersection of generators iff each pair q outside X is
-    left out by some generator that contains X (cl(X) = ∧{g : X ⊆ g}).  The
-    walk places rows 0..n1-1 one option at a time and carries live, the
-    generators (as a bitset over gens) that contain the rows placed so far.
-    A child is kept only if every pair left out so far, in this row or an
-    earlier one, is left out by some generator in live.  live only shrinks
-    as rows are added, so a branch that fails this has no member below it;
-    at a leaf live is exactly {g : X ⊆ g}, so every leaf is a member, and
-    each member is reached once, because its rows determine it.  With live
-    empty only the full row passes.  Each row placed counts against node_cap and
-    each leaf against family_cap.
+    A set X is an intersection of generators iff X is the meet of the
+    generators that contain it (cl(X) = ∧{g : X ⊆ g}).  The walk places rows
+    0..n1-1 one option at a time and carries live, the list of generators
+    that contain the rows placed so far.  At row k a node sorts live into
+    buckets by their row-k section, keeping each bucket's meet and, before
+    the last row, its list.  The bucket keys are the distinct row-k sections
+    of all of gens, and for each option r the buckets whose key contains r
+    are found once per level: their generators are the live ones that
+    contain mask | r.  The child mask | r is kept only if the meet of those
+    buckets, cut to rows 0..k, is mask | r, that is, if every pair left out
+    so far is left out by some of them.  live only shrinks as rows are
+    added, so a branch that fails this has no member below it; at a leaf
+    live is exactly {g : X ⊆ g}, so every leaf is a member, and each member
+    is reached once, because its rows determine it.  With no live generator
+    the meet is the full grid, so only the full row passes.  Each row
+    placed counts against node_cap and each leaf against family_cap.
 
     star is built this way.  Timed directly, the walk is slower than
     _close_under_intersections on sep's crosses and slower than _flats on
     down's hyperplane images.
     """
-    everything = (1 << len(gens)) - 1
-    # contain[k]: the generators holding pair k
-    contain = _transpose(tuple(gens), n1 * n2)
-    # per row i1 and option r: (r placed, generators whose row i1 contains
-    # r, one "generators leaving it out" set per pair of row i1 outside r)
-    steps = []
-    for i1 in range(n1):
-        row = contain[i1 * n2 : (i1 + 1) * n2]
-        options = []
-        for r in row_options:
-            within = everything
-            miss = []
-            for i2, c in enumerate(row):
-                if r >> i2 & 1:
-                    within &= c
-                else:
-                    miss.append(everything & ~c)
-            options.append((r << (i1 * n2), within, tuple(miss)))
-        steps.append(options)
+    row_all = (1 << n2) - 1
+    full = (1 << n1 * n2) - 1
+    # per row k: (shift, bucket of each row-k section, bucket count, rows
+    # 0..k, per option r: (r placed, the buckets whose key contains r))
+    levels = []
+    for k in range(n1):
+        shift = k * n2
+        keys = list(dict.fromkeys(g >> shift & row_all for g in gens))
+        options = [
+            (r << shift, tuple(i for i, s in enumerate(keys) if not r & ~s))
+            for r in row_options
+        ]
+        bucket = {s: i for i, s in enumerate(keys)}
+        levels.append((shift, bucket, len(keys), (1 << shift + n2) - 1, options))
+    last = n1 - 1
     keep: list[int] = []
     nodes = 0
 
-    def walk(k: int, mask: int, live: int, pending: tuple[int, ...]) -> None:
+    def walk(k: int, mask: int, live: list[int]) -> None:
         nonlocal nodes
-        if k == n1:
-            keep.append(mask)
-            if len(keep) > budgets.family_cap:
-                raise BudgetExceeded("family_cap", budgets.family_cap)
-            return
-        for r, within, miss in steps[k]:
-            e = live & within
-            # the parent kept this node with live, so pending can only fail
-            # where e is smaller
-            if not all(map(e.__and__, miss)) or (
-                e != live and not all(map(e.__and__, pending))
-            ):
+        shift, bucket, width, cut, options = levels[k]
+        meets = [full] * width
+        if k == last:
+            for g in live:
+                meets[bucket[g >> shift & row_all]] &= g
+        else:
+            lists: list[list[int]] = [[] for _ in range(width)]
+            for g in live:
+                i = bucket[g >> shift & row_all]
+                meets[i] &= g
+                lists[i].append(g)
+        for r, above in options:
+            child = mask | r
+            m = full
+            for i in above:
+                m &= meets[i]
+            if m & cut != child:
                 continue
             nodes += 1
             if nodes > budgets.node_cap:
                 raise BudgetExceeded("node_cap", budgets.node_cap)
-            walk(k + 1, mask | r, e, pending + miss)
+            if k == last:
+                keep.append(child)
+                if len(keep) > budgets.family_cap:
+                    raise BudgetExceeded("family_cap", budgets.family_cap)
+            else:
+                below: list[int] = []
+                for i in above:
+                    below += lists[i]
+                walk(k + 1, child, below)
 
-    walk(0, 0, everything, ())
+    walk(0, 0, list(gens))
     return keep
 
 
@@ -467,11 +481,11 @@ def star_product(
     left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ProductInstance:
     """The intersection closure of the star generators and the whole
-    universe, listed by the row walk of _generated_family, which needs the
-    generators in no particular order.  Every row of a generator is a
-    coatom or the whole universe of the second factor, so every row of an
-    intersection is closed there: the rows range over the second factor's
-    family.
+    universe, listed by the row walk of _generated_family, which buckets
+    the generators by their row sections and needs them in no particular
+    order.  Every row of a generator is a coatom or the whole universe of
+    the second factor, so every row of an intersection is closed there: the
+    rows range over the second factor's family.
 
     The factors must be coatomistic, otherwise the generators need not
     intersect down to the singletons and the result is not a closure space.

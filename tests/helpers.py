@@ -433,6 +433,61 @@ def prefix_section_search(row_options, col_allowed, n1, n2, budgets):
     return keep
 
 
+def transposed_index_walk(gens, row_options, n1, n2, budgets):
+    """The row walk behind star before it read its meets from per-row
+    buckets: live is a bitset over gens, and each child ANDs it with one
+    "generators leaving it out" set per pair left out so far, from a
+    transposed index of gens.  Leaves come in walk order, and every row
+    placed counts against node_cap, every leaf against family_cap."""
+    from qll.closure import _transpose
+    from qll.errors import BudgetExceeded
+
+    everything = (1 << len(gens)) - 1
+    # contain[k]: the generators holding pair k
+    contain = _transpose(tuple(gens), n1 * n2)
+    # per row i1 and option r: (r placed, generators whose row i1 contains
+    # r, one "generators leaving it out" set per pair of row i1 outside r)
+    steps = []
+    for i1 in range(n1):
+        row = contain[i1 * n2 : (i1 + 1) * n2]
+        options = []
+        for r in row_options:
+            within = everything
+            miss = []
+            for i2, c in enumerate(row):
+                if r >> i2 & 1:
+                    within &= c
+                else:
+                    miss.append(everything & ~c)
+            options.append((r << (i1 * n2), within, tuple(miss)))
+        steps.append(options)
+    keep = []
+    nodes = 0
+
+    def walk(k, mask, live, pending):
+        nonlocal nodes
+        if k == n1:
+            keep.append(mask)
+            if len(keep) > budgets.family_cap:
+                raise BudgetExceeded("family_cap", budgets.family_cap)
+            return
+        for r, within, miss in steps[k]:
+            e = live & within
+            # the parent kept this node with live, so pending can only fail
+            # where e is smaller
+            if not all(map(e.__and__, miss)) or (
+                e != live and not all(map(e.__and__, pending))
+            ):
+                continue
+            nodes += 1
+            if nodes > budgets.node_cap:
+                raise BudgetExceeded("node_cap", budgets.node_cap)
+            walk(k + 1, mask | r, e, pending + miss)
+
+    walk(0, 0, everything, ())
+    return keep
+
+
 def subspace_atom_set(s):
     """Projective points lying in the subspace s, as atoms of its model, by
     one in_row_space test per point."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qll.cli import main
+from qll.cli import build_parser, main
 from qll.closure import find_dual_covering_violation
 
 
@@ -198,6 +198,21 @@ def test_budget_flag_on_build(capsys):
     data = json.loads(out)
     assert data["verdict"] == "inconclusive-budget"
     assert data["budget"] == "family_cap"
+
+
+@pytest.mark.parametrize("flag", ["--budget-family", "--budget-nodes", "--budget-subspaces"])
+def test_negative_budget_is_a_usage_error(capsys, flag):
+    # a negative cap is bad input, not a budget that ran out
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "star(mo2,mo2)", flag, "-1"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert f"argument {flag}: must be 0 or more, got -1" in captured.err
+    # 0 is a cap like any other
+    args = build_parser().parse_args(["build", "star(mo2,mo2)", flag, "0"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 0
 
 
 def test_budget_payload_honours_out(capsys, tmp_path):

@@ -4,11 +4,12 @@ row-assignment enumeration for top, the feasible-column search for the star
 generators and the full subspace enumeration for down, on the L0 and L1
 factors.  The row walk behind star is also checked against the
 one-generator-at-a-time closure that sep uses, on all three generator
-kinds, down's hyperplane images and flats against the dot-product images
-and their closure, and the packed section search against the prefix-set
-search it replaced, leaf for leaf and node for node.  cnot's graph, one
-perp-table read, is checked against the orthocomplement of the entangled
-line computed by row reduction."""
+kinds, and against the transposed-index walk it replaced, leaf for leaf
+and node for node.  down's hyperplane images and flats are checked against
+the dot-product images and their closure, and the packed section search
+against the prefix-set search it replaced, leaf for leaf and node for node.
+cnot's graph, one perp-table read, is checked against the orthocomplement
+of the entangled line computed by row reduction."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from helpers import (
     prefix_section_search,
     row_assignment_top_masks,
     subspace_entangling_graph,
+    transposed_index_walk,
 )
 from qll.budgets import DEFAULT_BUDGETS
 from qll.errors import BudgetExceeded
@@ -38,6 +40,7 @@ from qll.products import (
     _generated_family,
     _hyperplane_images,
     _section_search,
+    _star_generator_masks,
     down_product,
     materialize_top_product,
     sep_product,
@@ -108,6 +111,40 @@ def test_walk_matches_closure_on_crosses(a, b):
         cross_masks(left, right), right.masks, left.universe_size, right.universe_size
     )
     assert walked == closed
+
+
+# (generator kind, a, b, smallest node_cap both walks pass)
+WALK_EDGES = [
+    ("star", "mo2", "mo2", 273),
+    ("star", "mo2", "mo3", 449),
+    ("star", "mo3", "mo2", 636),
+    ("star", "boolean2", "mo2", 42),
+    ("star", "gf3_2", "gf3_2", 273),
+    ("star", "mo3", "mo3", 14558),
+    ("cross", "mo2", "mo2", 225),
+    ("cross", "mo2", "mo3", 449),
+    ("cross", "mo3", "mo2", 636),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,a,b,edge", WALK_EDGES, ids=[f"{k}-{a},{b}" for k, a, b, _ in WALK_EDGES]
+)
+def test_row_walk_matches_transposed_index_walk(kind, a, b, edge):
+    left, right = _factors(a, b)
+    if kind == "star":
+        gens = _star_generator_masks(left, right, DEFAULT_BUDGETS)
+    else:
+        gens = sorted(cross_masks(left, right))
+    args = (gens, right.masks, left.universe_size, right.universe_size)
+    got = _generated_family(*args, DEFAULT_BUDGETS)
+    assert got == transposed_index_walk(*args, DEFAULT_BUDGETS)
+    for walk in (_generated_family, transposed_index_walk):
+        passing = DEFAULT_BUDGETS.with_overrides(node_cap=edge)
+        assert walk(*args, passing) == got
+        with pytest.raises(BudgetExceeded) as exc:
+            walk(*args, passing.with_overrides(node_cap=edge - 1))
+        assert exc.value.budget_name == "node_cap"
 
 
 @pytest.mark.parametrize("name", ["gf3_2", "gf5_2"])

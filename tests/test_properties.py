@@ -1,15 +1,22 @@
 from __future__ import annotations
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qll.atomset import AtomSet
 from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import ExplicitSpace, powerset_space
+from qll.errors import BudgetExceeded
 from qll.gf import rref
 from qll.products import PairGrid, _generated_family
 
-from helpers import grid_set, naive_close_under_intersections
+from helpers import (
+    grid_set,
+    naive_close_under_intersections,
+    pairwise_close_under_intersections,
+    transposed_index_walk,
+)
 
 UNIVERSE = 5
 
@@ -133,6 +140,37 @@ def test_generated_family_is_the_intersection_closure(gens):
     )
     assert len(walked) == len(set(walked))
     assert {grid_set(m, 3, 3) for m in walked} == expected
+
+
+@st.composite
+def walk_inputs(draw):
+    """(gens, row options, n1, n2) on a 2 x 4 or 4 x 2 grid: a few
+    generators, some of them repeated, and every row mask in a drawn order."""
+    n1, n2 = draw(st.sampled_from([(2, 4), (4, 2)]))
+    gens = draw(st.lists(st.integers(min_value=0, max_value=2 ** (n1 * n2) - 1), max_size=8))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=3))
+    return gens, draw(st.permutations(range(1 << n2))), n1, n2
+
+
+@given(walk_inputs())
+@example(([], list(range(16)), 2, 4))
+@example(([0b10110111, 0b10110111, 0b11101011], list(range(4)), 4, 2))
+def test_row_walk_matches_transposed_index_walk_on_other_grids(inputs):
+    # with every row allowed, each node is a row prefix of some intersection
+    # (the closure of that prefix), so the walks' node count is the number
+    # of distinct prefixes of the intersections
+    gens, rows, n1, n2 = inputs
+    closed = pairwise_close_under_intersections(gens, 2 ** (n1 * n2) - 1)
+    nodes = len({(k, m & (2 ** (k * n2) - 1)) for m in closed for k in range(1, n1 + 1)})
+    walked = _generated_family(gens, rows, n1, n2, DEFAULT_BUDGETS)
+    assert set(walked) == set(closed) and len(walked) == len(closed)
+    for walk in (_generated_family, transposed_index_walk):
+        passing = DEFAULT_BUDGETS.with_overrides(node_cap=nodes)
+        assert walk(gens, rows, n1, n2, passing) == walked
+        with pytest.raises(BudgetExceeded) as exc:
+            walk(gens, rows, n1, n2, passing.with_overrides(node_cap=nodes - 1))
+        assert exc.value.budget_name == "node_cap"
 
 
 matrices = st.lists(
