@@ -21,7 +21,7 @@ class Budgets:
     # Backtracking search nodes (orthocomplementation and automorphism
     # search, and the rows placed by the section search behind the
     # materialized top and the star generators and by the star family
-    # walk) and the matrices scanned for a similitude group.
+    # walk) and the candidate columns tried by the similitude solve.
     node_cap: int = 10**8
     # Subspaces one build may list: the subspaces of a factor model, which
     # are counted before its flats are listed, and the hyperplane normals

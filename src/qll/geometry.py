@@ -44,7 +44,6 @@ from .gf import (
     kron_vec,
     mat_mul,
     mat_vec,
-    normalize_point,
     projective_points,
     rank,
     rref_matrices,
@@ -294,47 +293,87 @@ def mo_lattice(n: int) -> tuple[ExplicitSpace, OrthogonalityRelation]:
     return space_from_masks(size, masks), rel
 
 
-def _form_multiplier(model: SubspaceModel, g: Mat) -> int | None:
-    """The scalar c with g^T F g = c F, or None if no such scalar exists."""
-    q = model.q
-    m = mat_mul(transpose(g), mat_mul(model.form, g, q), q)
-    c = None
-    for i in range(model.n):
-        for j in range(model.n):
-            f = model.form[i][j]
-            if f:
-                cand = m[i][j] * pow(f, q - 2, q) % q
-                if c is None:
-                    c = cand
-                elif cand != c:
-                    return None
-            elif m[i][j]:
-                return None
-    if c == 0:
-        return None
-    return c
-
-
 def similitude_group(
     model: SubspaceModel, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list[AtomPermutation]:
-    """Projective action of all g with g^T F g = c F, c != 0, sorted by
-    image tuple.  Each such g is invertible: det(g)^2 det F = c^n det F,
-    and create rejects a singular F.  All q^(n*n) matrices are tried,
-    against node_cap."""
-    q, n = model.q, model.n
-    if q ** (n * n) > budgets.node_cap:
-        raise BudgetExceeded("node_cap", budgets.node_cap)
-    atoms = model.atom_table
-    index = model.atom_index
+    """Projective action of all g with gᵀFg = cF, c != 0, sorted by image
+    tuple.  Each such g is invertible: det(g)² det F = cⁿ det F, and create
+    rejects a singular F.
+
+    g is solved for one column at a time.  Entry (i, j) of gᵀFg is
+    x_iᵀ F x_j for the columns x_i, so column j must have Q(x_j) = x_jᵀ F x_j
+    equal to c·F[j][j] and x_iᵀ F x_j = c·F[i][j] for every earlier column i.
+    Once c is known, column j is drawn from the nonzero vectors with that
+    Q and kept if it passes those tests.  Before that, column j is drawn
+    from all nonzero vectors, and c is read off the first nonzero entry
+    of F met column by column, on or above the diagonal: F[0][0] unless
+    it is 0, a cross term for a zero diagonal.  g and λg act alike, so
+    column 0 runs over the normalized points only and each projective
+    class is met once.  Every candidate column tried counts against
+    node_cap.
+    """
+    q, n, form, atoms = model.q, model.n, model.form, model.atom_table
+    nonzero = tuple(product(range(q), repeat=n))[1:]
+    # F·x for every x, and the nonzero vectors bucketed by Q(x) = xᵀFx
+    f_of = {x: tuple(sum(map(mul, row, x)) % q for row in form) for x in nonzero}
+    by_q: dict[int, list[Vec]] = {}
+    for x in nonzero:
+        by_q.setdefault(sum(map(mul, f_of[x], x)) % q, []).append(x)
+    # column j's entries of F on or above the diagonal, and the first nonzero one
+    upper = [tuple(form[i][j] for i in range(j + 1)) for j in range(n)]
+    lead = [next((i for i, f in enumerate(col) if f), None) for col in upper]
+    # every nonzero vector to the index of its point
+    point_of = {
+        tuple(s * x % q for x in p): i
+        for i, p in enumerate(atoms)
+        for s in range(1, q)
+    }
     perms = set()
-    for entries in product(range(q), repeat=n * n):
-        g = tuple(entries[i * n : (i + 1) * n] for i in range(n))
-        if _form_multiplier(model, g) is None:
-            continue
-        perms.add(
-            tuple(index[normalize_point(mat_vec(g, v, q), q)] for v in atoms)
-        )
+    nodes = 0
+
+    def extend(cols: tuple[Vec, ...], c: int | None) -> None:
+        nonlocal nodes
+        j = len(cols)
+        if j == n:
+            rows = tuple(zip(*cols))
+            perms.add(
+                tuple(
+                    point_of[tuple(sum(map(mul, r, v)) % q for r in rows)]
+                    for v in atoms
+                )
+            )
+            return
+        fcols = [f_of[x] for x in cols]
+        col = upper[j]
+        if c is None:
+            cands = atoms if j == 0 else nonzero
+        else:
+            cands = by_q.get(c * col[j] % q, ())
+        nodes += len(cands)
+        if nodes > budgets.node_cap:
+            raise BudgetExceeded("node_cap", budgets.node_cap)
+        if c is not None:
+            want = [c * f % q for f in col]
+            for y in cands:
+                for fx, w in zip(fcols, want):
+                    if sum(map(mul, fx, y)) % q != w:
+                        break
+                else:
+                    extend(cols + (y,), c)
+            return
+        k = lead[j]
+        for y in cands:
+            vals = [sum(map(mul, fx, y)) % q for fx in fcols]
+            vals.append(sum(map(mul, f_of[y], y)) % q)
+            if k is None:
+                if not any(vals):
+                    extend(cols + (y,), None)
+                continue
+            cy = vals[k] * pow(col[k], q - 2, q) % q
+            if cy and all(v == cy * f % q for v, f in zip(vals, col)):
+                extend(cols + (y,), cy)
+
+    extend((), None)
     return [AtomPermutation(img) for img in sorted(perms)]
 
 

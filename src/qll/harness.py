@@ -326,15 +326,18 @@ def _p4_check(
     """P4 on a product of left and right under pairs of factor symmetries,
     with the number of pairs: the similitudes of both models
     ("similitudes"), or every factor automorphism ("aut"), given by the
-    stabilizer-chain generators."""
+    stabilizer-chain generators.  Equal factors share one list."""
     if symmetries == "similitudes":
         if left.model is None or right.model is None:
             raise InputError("similitudes need finite-field factors")
         t1 = similitude_group(left.model, budgets)
-        t2 = similitude_group(right.model, budgets)
+        t2 = t1
+        if right.model != left.model:
+            t2 = similitude_group(right.model, budgets)
         return check_p4(product, t1, t2), len(t1) * len(t2)
-    c1 = automorphism_chain(product.left, budgets)
-    c2 = automorphism_chain(product.right, budgets)
+    c1 = c2 = automorphism_chain(product.left, budgets)
+    if product.right != product.left:
+        c2 = automorphism_chain(product.right, budgets)
     return check_p4(product, c1.generators, c2.generators), c1.order * c2.order
 
 

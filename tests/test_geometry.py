@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 import pytest
 
@@ -220,6 +221,12 @@ SIMILITUDE_MODELS = {
     "gf7_2": (7, 2, None),
     "gf11_2": (11, 2, None),
     "gf3_3": (3, 3, None),
+    # a zero diagonal: c is read off the cross term
+    "gf3_2-hyperbolic": (3, 2, ((0, 1), (1, 0))),
+    "gf5_2-hyperbolic": (5, 2, ((0, 1), (1, 0))),
+    "gf5_1": (5, 1, None),
+    "gf7_2-full": (7, 2, ((2, 3), (3, 5))),
+    "gf3_3-zero-lead": (3, 3, ((0, 1, 0), (1, 0, 0), (0, 0, 1))),
 }
 
 
@@ -228,6 +235,49 @@ def test_similitude_group_matches_rank_filtered_search(name):
     model = SubspaceModel.create(*SIMILITUDE_MODELS[name])
     sims = similitude_group(model)
     assert [u.image for u in sims] == rank_filtered_similitude_group(model)
+
+
+def test_similitude_node_cap_edge():
+    # 8 points for column 0, then the 8 vectors with Q = c for column 1
+    model = SubspaceModel.create(7, 2)
+    passing = DEFAULT_BUDGETS.with_overrides(node_cap=72)
+    assert len(similitude_group(model, passing)) == 16
+    with pytest.raises(BudgetExceeded) as exc:
+        similitude_group(model, passing.with_overrides(node_cap=71))
+    assert exc.value.budget_name == "node_cap"
+
+
+def test_gf3_tensor_similitude_group_is_pgo_plus_4_3(gf3_tensor):
+    model = gf3_tensor.model
+    start = time.perf_counter()
+    sims = similitude_group(model)
+    assert time.perf_counter() - start < 10
+    # |PGO+(4,3)| = |GO+(4,3)| = 2·3²·(3²-1)²: the two multipliers and the
+    # two scalars ±1 cancel
+    assert len(sims) == 1152
+    images = {u.image for u in sims}
+    identity_image = tuple(range(model.atom_count))
+    assert identity_image in images
+    # grow generators inside the set until they generate all of it: every
+    # product met stays in the set, so the set is a group
+    group, gens = {identity_image}, []
+    for g in sorted(images):
+        if g in group:
+            continue
+        gens.append(g)
+        frontier = list(group)
+        while frontier:
+            x = frontier.pop()
+            for t in gens:
+                y = tuple(x[i] for i in t)
+                if y not in group:
+                    assert y in images
+                    group.add(y)
+                    frontier.append(y)
+    assert group == images
+    perp = form_loop_perp_masks(model)
+    for u in sims:
+        assert all(u.apply_mask(perp[i]) == perp[u.image[i]] for i in range(len(perp)))
 
 
 def test_tensor_model_form_is_kronecker(gf3_2):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from helpers import pair_loop_perp_masks
+from qll import harness
 from qll.cli import main
 
 from qll.budgets import DEFAULT_BUDGETS
@@ -142,6 +143,43 @@ def test_p4_check_matches_cli_on_sep_mo2_mo3(capsys):
         "pairs": pairs,
         **report.to_json(),
     }
+
+
+def _factor(name):
+    if name == "gf5_2-diag-1-3":
+        # gf5_2's lattice under another anisotropic form: equal spaces,
+        # unequal models
+        return harness._build_gf_plane(5, ((1, 0), (0, 3)))(DEFAULT_BUDGETS)
+    return resolve_base(name)
+
+
+@pytest.mark.parametrize(
+    "kind,left,right,symmetries,calls,pairs,passed",
+    [
+        ("down", "gf3_2", "gf3_2", "similitudes", 1, 8 * 8, True),
+        ("down", "gf5_2", "gf5_2-diag-1-3", "similitudes", 2, 12 * 12, True),
+        ("down", "gf5_2", "gf5_2-diag-1-3", "aut", 1, 720 * 720, False),
+        ("sep", "mo2", "mo2", "aut", 1, 24 * 24, True),
+        ("sep", "mo2", "mo3", "aut", 2, 24 * 720, True),
+    ],
+)
+def test_p4_check_builds_one_symmetry_list_for_equal_factors(
+    monkeypatch, kind, left, right, symmetries, calls, pairs, passed
+):
+    l, r = _factor(left), _factor(right)
+    product = build_product(kind, l, r)
+    name = "similitude_group" if symmetries == "similitudes" else "automorphism_chain"
+    real, seen = getattr(harness, name), []
+
+    def counted(*args):
+        seen.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(harness, name, counted)
+    report, got = _p4_check(product, l, r, symmetries, DEFAULT_BUDGETS)
+    assert (len(seen), got, report.passed) == (calls, pairs, passed)
+    monkeypatch.undo()
+    assert (report, got) == _p4_check(product, l, r, symmetries, DEFAULT_BUDGETS)
 
 
 def test_verify_unknown_theorem():

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qll.atomset import AtomSet
 from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import ExplicitSpace, powerset_space
 from qll.errors import BudgetExceeded
+from qll.geometry import SubspaceModel, similitude_group
 from qll.gf import rref
 from qll.products import PairGrid, _generated_family
 
@@ -15,6 +16,7 @@ from helpers import (
     grid_set,
     naive_close_under_intersections,
     pairwise_close_under_intersections,
+    rank_filtered_similitude_group,
     transposed_index_walk,
 )
 
@@ -171,6 +173,28 @@ def test_row_walk_matches_transposed_index_walk_on_other_grids(inputs):
         with pytest.raises(BudgetExceeded) as exc:
             walk(gens, rows, n1, n2, passing.with_overrides(node_cap=nodes - 1))
         assert exc.value.budget_name == "node_cap"
+
+
+@st.composite
+def plane_forms(draw):
+    """(q, F): a nondegenerate symmetric 2 x 2 form over GF(3), GF(5) or GF(7)."""
+    q = draw(st.sampled_from([3, 5, 7]))
+    entry = st.integers(min_value=0, max_value=q - 1)
+    a, b, d = draw(entry), draw(entry), draw(entry)
+    assume((a * d - b * b) % q)
+    return q, ((a, b), (b, d))
+
+
+@given(plane_forms())
+@example((3, ((0, 1), (1, 0))))
+@example((7, ((0, 3), (3, 0))))
+@example((5, ((2, 1), (1, 0))))
+def test_similitude_group_matches_rank_filtered_search_on_plane_forms(qf):
+    q, form = qf
+    model = SubspaceModel.create(q, 2, form)
+    assert [u.image for u in similitude_group(model)] == rank_filtered_similitude_group(
+        model
+    )
 
 
 matrices = st.lists(
