@@ -168,12 +168,14 @@ class ClosureSpace:
 class ExplicitSpace(ClosureSpace):
     """Closure space given by its full family of closed sets.
 
-    Two doors lead to one construction body, which deduplicates, applies
-    family_cap and sorts into canonical order with canonical_sorted (one
-    int key per mask, no member tuple built): ExplicitSpace(family) takes
-    AtomSets and rejects an empty family or mixed universes, and
-    space_from_masks takes the masks a product builder holds, a family
-    closed by construction.  Neither door validates the axioms; call
+    Two public doors lead to one construction body, which takes the masks
+    distinct and in canonical order and applies family_cap.  Each door
+    deduplicates and sorts with canonical_sorted on the way in:
+    ExplicitSpace(family) takes AtomSets and rejects an empty family or
+    mixed universes, and space_from_masks takes the masks a builder holds,
+    a family closed by construction.  The builders whose searches list
+    their sets in lex order (top and star) come in by _space_from_lex_masks,
+    which only sorts on cardinality.  Neither door validates the axioms; call
     validate_simple_closure_space (or construct via space_from_json, which
     does) when the family is of unknown provenance.  Closure reads the
     first closed superset in canonical order, and the cover relation and
@@ -196,18 +198,26 @@ class ExplicitSpace(ClosureSpace):
                 raise UniverseMismatch(
                     f"family mixes universe sizes {n} and {s.universe_size}"
                 )
-        self._set_masks(n, (s.mask for s in sets), atom_labels, budgets)
+        self._set_any_masks(n, (s.mask for s in sets), atom_labels, budgets)
 
-    def _set_masks(self, n: int, masks: Iterable[int], atom_labels, budgets) -> None:
-        """The construction body behind both doors."""
-        self._mask_set: frozenset[int] = frozenset(masks)
-        if len(self._mask_set) > budgets.family_cap:
+    def _set_any_masks(self, n: int, masks: Iterable[int], atom_labels, budgets) -> None:
+        """The public doors' way in: masks in any order, repeats allowed."""
+        mask_set = frozenset(masks)
+        self._set_masks(n, canonical_sorted(mask_set, n), mask_set, atom_labels, budgets)
+
+    def _set_masks(
+        self, n: int, masks: list[int], mask_set: frozenset[int], atom_labels, budgets
+    ) -> None:
+        """The construction body behind every door: masks lists mask_set
+        in canonical order."""
+        if len(mask_set) > budgets.family_cap:
             raise BudgetExceeded("family_cap", budgets.family_cap)
         self.universe_size = n
         self.atom_labels = tuple(atom_labels) if atom_labels is not None else None
         if self.atom_labels is not None and len(self.atom_labels) != n:
             raise InputError("atom_labels length does not match universe size")
-        self._masks = tuple(canonical_sorted(self._mask_set, n))
+        self._mask_set = mask_set
+        self._masks = tuple(masks)
         self._family: tuple[AtomSet, ...] | None = None
         self._coatom_masks: tuple[int, ...] | None = None
         # closure kernel, built on first use (see closure_mask)
@@ -391,7 +401,24 @@ def space_from_masks(
     checked, since the builders' families are closed by construction.
     """
     sp = ExplicitSpace.__new__(ExplicitSpace)
-    sp._set_masks(universe_size, masks, atom_labels, budgets)
+    sp._set_any_masks(universe_size, masks, atom_labels, budgets)
+    return sp
+
+
+def _space_from_lex_masks(
+    universe_size: int,
+    masks: list[int],
+    atom_labels: Iterable[str] | None,
+    budgets: Budgets,
+) -> ExplicitSpace:
+    """Explicit space on distinct masks listed in lex order (see
+    atomset.lex_sorted): the entrance for the builders whose searches list
+    their sets that way.  Canonical order is then one stable sort on
+    cardinality; no per-mask key is computed.
+    """
+    ordered = sorted(masks, key=int.bit_count)
+    sp = ExplicitSpace.__new__(ExplicitSpace)
+    sp._set_masks(universe_size, ordered, frozenset(ordered), atom_labels, budgets)
     return sp
 
 

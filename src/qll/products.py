@@ -37,6 +37,12 @@ the same way: _pair_perp reads each hyperplane image row by row from a
 perp table, and _flats lists the flats rank by rank from a transposed
 index of the generators.
 
+_section_search and the row walk both place rows in the order of their
+options, starting at the lowest atoms.  top and star offer the rows in
+lex order (atomset.lex_sorted), so their sets come out in lex order and
+_space_from_lex_masks puts them into canonical order with one stable sort
+on cardinality; sep and down go through space_from_masks's full sort.
+
 All four contain the crosses and have closed sections, so sep <= X <= top
 as families; interval_check certifies those inclusions and exhibits
 witnesses when they are strict.
@@ -47,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
-from .atomset import AtomSet, bit_members, canonical_sorted
+from .atomset import AtomSet, bit_members, lex_sorted
 from .automorphisms import AtomPermutation, first_unpreserved
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
@@ -55,6 +61,7 @@ from .closure import (
     ExplicitSpace,
     ImplicitSpace,
     _require_explicit,
+    _space_from_lex_masks,
     is_coatomistic,
     space_from_masks,
     space_to_json,
@@ -439,23 +446,26 @@ def materialize_top_product(
 ) -> ProductInstance:
     """Explicit top product: the section search with rows ranging over the
     second factor's family and columns over the first's.  Each row placed
-    counts against node_cap and each set found against family_cap."""
+    counts against node_cap and each set found against family_cap.  The
+    rows are offered in lex order, so the sets come out in lex order."""
     l = _require_explicit(left, "materialize_top_product")
     r = _require_explicit(right, "materialize_top_product")
     grid = PairGrid(l.universe_size, r.universe_size)
-    keep = _section_search(r.masks, l.masks, grid.n1, grid.n2, budgets)
-    space = space_from_masks(grid.size, keep, _pair_labels(l, r), budgets)
+    rows = lex_sorted(r.masks, grid.n2)
+    keep = _section_search(rows, l.masks, grid.n1, grid.n2, budgets)
+    space = _space_from_lex_masks(grid.size, keep, _pair_labels(l, r), budgets)
     return ProductInstance("top", l, r, space, grid)
 
 
 def _star_generator_masks(
     l: ExplicitSpace, r: ExplicitSpace, budgets: Budgets
 ) -> list[int]:
-    """The star generators as masks, in search order: the section search on
-    the coatoms-or-full options, less the full mask."""
+    """The star generators as masks, in lex order: the section search on
+    the coatoms-or-full options, rows offered in lex order, less the full
+    mask."""
     n1, n2 = l.universe_size, r.universe_size
     # coatoms are proper, so no row option repeats and no leaf is found twice
-    rows = (*r.coatom_masks(), (1 << n2) - 1)
+    rows = lex_sorted((*r.coatom_masks(), (1 << n2) - 1), n2)
     cols = (*l.coatom_masks(), (1 << n1) - 1)
     full = (1 << n1 * n2) - 1
     return [m for m in _section_search(rows, cols, n1, n2, budgets) if m != full]
@@ -468,13 +478,13 @@ def star_generators(
     coatom of the second factor or its whole universe, and every column
     section a coatom of the first factor or its whole universe, in
     canonical order: the section search on those options, less the full
-    mask.  Each row placed counts against node_cap and each set found
-    against family_cap."""
+    mask, sorted on cardinality from its lex order.  Each row placed counts
+    against node_cap and each set found against family_cap."""
     l = _require_explicit(left, "star_generators")
     r = _require_explicit(right, "star_generators")
     size = l.universe_size * r.universe_size
     masks = _star_generator_masks(l, r, budgets)
-    return [AtomSet(size, m) for m in canonical_sorted(masks, size)]
+    return [AtomSet(size, m) for m in sorted(masks, key=int.bit_count)]
 
 
 def star_product(
@@ -485,7 +495,8 @@ def star_product(
     the generators by their row sections and needs them in no particular
     order.  Every row of a generator is a coatom or the whole universe of
     the second factor, so every row of an intersection is closed there: the
-    rows range over the second factor's family.
+    rows range over the second factor's family, offered in lex order, so
+    the sets come out in lex order.
 
     The factors must be coatomistic, otherwise the generators need not
     intersect down to the singletons and the result is not a closure space.
@@ -496,8 +507,9 @@ def star_product(
         raise ContractViolation("star product requires coatomistic factors")
     grid = PairGrid(l.universe_size, r.universe_size)
     gens = _star_generator_masks(l, r, budgets)
-    masks = _generated_family(gens, r.masks, grid.n1, grid.n2, budgets)
-    space = space_from_masks(grid.size, masks, _pair_labels(l, r), budgets)
+    rows = lex_sorted(r.masks, grid.n2)
+    masks = _generated_family(gens, rows, grid.n1, grid.n2, budgets)
+    space = _space_from_lex_masks(grid.size, masks, _pair_labels(l, r), budgets)
     return ProductInstance("star", l, r, space, grid)
 
 

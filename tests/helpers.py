@@ -303,6 +303,12 @@ def _canonical(masks):
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), _members(m))))
 
 
+def _lex(masks, n):
+    """The masks in lex order, the set holding the lowest differing atom
+    first: compare the lists of atoms missing, atom 0 first."""
+    return sorted(masks, key=lambda m: [not m >> i & 1 for i in range(n)])
+
+
 def pairwise_close_under_intersections(seeds, full):
     """Smallest intersection-closed superset of seeds and full, by
     intersecting every new set with the whole family."""
@@ -387,6 +393,38 @@ def feasible_column_star_generators(left, right):
 
     rec(0)
     return _canonical(out)
+
+
+def search_then_sort_top_masks(left, right):
+    """The materialized top before it took canonical order from its search:
+    the section search with the second factor's family as row options, in
+    canonical order, then space_from_masks's sort."""
+    from qll.budgets import DEFAULT_BUDGETS
+    from qll.closure import space_from_masks
+    from qll.products import _section_search
+
+    n1, n2 = left.universe_size, right.universe_size
+    keep = _section_search(right.masks, left.masks, n1, n2, DEFAULT_BUDGETS)
+    return space_from_masks(n1 * n2, keep).masks
+
+
+def search_then_sort_star_masks(left, right):
+    """star before it took canonical order from its search: the generators
+    from the section search on the coatoms-or-full options, in canonical
+    order, the row walk with the second factor's family as row options, in
+    canonical order, then space_from_masks's sort."""
+    from qll.budgets import DEFAULT_BUDGETS
+    from qll.closure import space_from_masks
+    from qll.products import _generated_family, _section_search
+
+    n1, n2 = left.universe_size, right.universe_size
+    full = (1 << n1 * n2) - 1
+    rows = (*right.coatom_masks(), (1 << n2) - 1)
+    cols = (*left.coatom_masks(), (1 << n1) - 1)
+    found = _section_search(rows, cols, n1, n2, DEFAULT_BUDGETS)
+    gens = [m for m in found if m != full]
+    masks = _generated_family(gens, right.masks, n1, n2, DEFAULT_BUDGETS)
+    return space_from_masks(n1 * n2, masks).masks
 
 
 def prefix_section_search(row_options, col_allowed, n1, n2, budgets):

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qll.atomset import AtomSet, bit_members, canonical_sorted, mask_from_members
+from qll.atomset import (
+    AtomSet,
+    bit_members,
+    canonical_sorted,
+    lex_sorted,
+    mask_from_members,
+)
 from qll.errors import InputError, UniverseMismatch
 
-from helpers import _canonical
+from helpers import _canonical, _lex
 
 
 def test_bit_members_roundtrip():
@@ -72,6 +78,18 @@ def _universe_and_masks(draw):
 def test_canonical_sorted_matches_member_lists(case):
     n, masks = case
     assert canonical_sorted(masks, n) == list(_canonical(masks))
+
+
+def test_lex_key_puts_the_lowest_differing_atom_first():
+    # {0, 1} before {1}: they differ first at atom 0
+    masks = [0b10, 0b11, 0b100, 0b1, 0b0]
+    assert lex_sorted(masks, 3) == [0b11, 0b1, 0b10, 0b100, 0b0]
+
+
+@given(_universe_and_masks())
+def test_lex_sorted_matches_missing_atom_lists(case):
+    n, masks = case
+    assert lex_sorted(masks, n) == _lex(masks, n)
 
 
 def test_bool_and_repr():

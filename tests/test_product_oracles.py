@@ -8,6 +8,8 @@ kinds, and against the transposed-index walk it replaced, leaf for leaf
 and node for node.  down's hyperplane images and flats are checked against
 the dot-product images and their closure, and the packed section search
 against the prefix-set search it replaced, leaf for leaf and node for node.
+top and star, which take canonical order from their searches' lex order,
+are checked against the search on canonical rows and the full sort.
 cnot's graph, one perp-table read, is checked against the orthocomplement
 of the entangled line computed by row reduction."""
 
@@ -20,6 +22,7 @@ import pytest
 
 from helpers import (
     _canonical,
+    _lex,
     cross_masks,
     dot_hyperplane_images,
     feasible_column_star_generators,
@@ -27,11 +30,14 @@ from helpers import (
     pairwise_close_under_intersections,
     prefix_section_search,
     row_assignment_top_masks,
+    search_then_sort_star_masks,
+    search_then_sort_top_masks,
     subspace_entangling_graph,
     transposed_index_walk,
 )
 from qll.budgets import DEFAULT_BUDGETS
-from qll.errors import BudgetExceeded
+from qll.closure import _space_from_lex_masks
+from qll.errors import BudgetExceeded, InputError
 from qll.geometry import SubspaceModel, _flats, build_projective_space
 from qll.gf import dot, projective_points, rank
 from qll.harness import _entangling_graph, resolve_base
@@ -240,6 +246,56 @@ def test_down_gf7_family_is_pinned():
         "distinct_images": 2050,
         "collisions": 1602,
     }
+
+
+@pytest.mark.parametrize("a,b", STAR_PAIRS, ids=[f"{a},{b}" for a, b in STAR_PAIRS])
+def test_lex_searches_match_search_then_sort(a, b):
+    # top and star take canonical order from their searches' lex order;
+    # the reference searches with the rows in canonical order and sorts
+    left, right = _factors(a, b)
+    top = materialize_top_product(left, right).space.masks
+    assert top == search_then_sort_top_masks(left, right)
+    star = star_product(left, right).space.masks
+    assert star == search_then_sort_star_masks(left, right)
+
+
+# (build, smallest family_cap it passes)
+FAMILY_CAP_EDGES = [(materialize_top_product, 13376), (star_product, 9056)]
+
+
+@pytest.mark.parametrize("build,edge", FAMILY_CAP_EDGES, ids=["top", "star"])
+def test_lex_entrance_family_cap_edge_on_mo3_mo3(build, edge):
+    left, right = _factors("mo3", "mo3")
+    passing = DEFAULT_BUDGETS.with_overrides(family_cap=edge)
+    assert len(build(left, right, passing).space.masks) == edge
+    with pytest.raises(BudgetExceeded) as exc:
+        build(left, right, passing.with_overrides(family_cap=edge - 1))
+    assert exc.value.budget_name == "family_cap"
+
+
+def test_star_mo3_mo3_node_cap_edge():
+    # the generator search and the row walk each draw on their own node_cap;
+    # the walk needs more
+    left, right = _factors("mo3", "mo3")
+    passing = DEFAULT_BUDGETS.with_overrides(node_cap=14558)
+    assert len(star_product(left, right, passing).space.masks) == 9056
+    with pytest.raises(BudgetExceeded) as exc:
+        star_product(left, right, passing.with_overrides(node_cap=14557))
+    assert exc.value.budget_name == "node_cap"
+
+
+def test_lex_entrance_checks_labels_and_cap():
+    masks = materialize_top_product(*_factors("mo2", "mo2")).space.masks
+    lex = _lex(masks, 16)
+    labels = [f"a{p}" for p in range(16)]
+    sp = _space_from_lex_masks(16, lex, labels, DEFAULT_BUDGETS)
+    assert sp.masks == masks and sp.atom_labels == tuple(labels)
+    with pytest.raises(InputError):
+        _space_from_lex_masks(16, lex, labels[1:], DEFAULT_BUDGETS)
+    cap = DEFAULT_BUDGETS.with_overrides(family_cap=len(masks) - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        _space_from_lex_masks(16, lex, labels, cap)
+    assert exc.value.budget_name == "family_cap"
 
 
 def test_star_generators_node_cap():

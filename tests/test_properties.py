@@ -4,15 +4,17 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from qll.atomset import AtomSet
+from qll.atomset import AtomSet, lex_sorted
 from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import ExplicitSpace, powerset_space
 from qll.errors import BudgetExceeded
 from qll.geometry import SubspaceModel, similitude_group
 from qll.gf import rref
-from qll.products import PairGrid, _generated_family
+from qll.products import PairGrid, _generated_family, _section_search
 
 from helpers import (
+    _canonical,
+    _lex,
     grid_set,
     naive_close_under_intersections,
     pairwise_close_under_intersections,
@@ -173,6 +175,36 @@ def test_row_walk_matches_transposed_index_walk_on_other_grids(inputs):
         with pytest.raises(BudgetExceeded) as exc:
             walk(gens, rows, n1, n2, passing.with_overrides(node_cap=nodes - 1))
         assert exc.value.budget_name == "node_cap"
+
+
+@st.composite
+def search_inputs(draw):
+    """(n1, n2, row options, allowed columns, generators) on a 2 x 3, 3 x 2
+    or 3 x 3 grid: the option lists drawn without repeats, in drawn order."""
+    n1, n2 = draw(st.sampled_from([(2, 3), (3, 2), (3, 3)]))
+    rows = draw(st.lists(st.integers(0, 2**n2 - 1), min_size=1, unique=True))
+    cols = draw(st.lists(st.integers(0, 2**n1 - 1), min_size=1, unique=True))
+    gens = draw(st.lists(st.integers(0, 2 ** (n1 * n2) - 1), max_size=8))
+    return n1, n2, rows, cols, gens
+
+
+@given(search_inputs())
+# every row and column allowed: canonical row order would offer {1} before
+# {0, 1} and list the leaves out of lex order
+@example((2, 3, list(range(8)), list(range(4)), []))
+@example((3, 3, [0b110, 0b011, 0b111, 0b001], list(range(8)), [0b110011111, 0b111110011]))
+def test_searches_list_lex_order_from_lex_rows(inputs):
+    # both searches place rows from the lowest atoms up, so lex-ordered row
+    # options give lex-ordered sets, and canonical order is left to a
+    # stable sort on cardinality
+    n1, n2, rows, cols, gens = inputs
+    lex_rows = lex_sorted(rows, n2)
+    for found in (
+        _section_search(lex_rows, cols, n1, n2, DEFAULT_BUDGETS),
+        _generated_family(gens, lex_rows, n1, n2, DEFAULT_BUDGETS),
+    ):
+        assert found == _lex(found, n1 * n2)
+        assert tuple(sorted(found, key=int.bit_count)) == _canonical(found)
 
 
 @st.composite
