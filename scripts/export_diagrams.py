@@ -30,7 +30,7 @@ def main() -> int:
         dot = export_dot(inst.space, name=safe)
         path = out / f"{safe}.dot"
         path.write_text(dot)
-        print(f"{name}: {len(inst.space.family)} nodes -> {path}")
+        print(f"{name}: {len(inst.space.masks)} nodes -> {path}")
     return 0
 
 

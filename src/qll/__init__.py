@@ -6,26 +6,21 @@ computes automorphism groups, and runs verification pipelines for the
 structure theorems on desk-scale instances.
 """
 
-from .atomset import AtomSet
+from .atomset import *  # the family door's value type, which perfbench imports
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
     ClosureSpace,
     ExplicitSpace,
     ImplicitSpace,
     ValidationReport,
-    coatoms,
-    covers,
     find_covering_violation,
     find_dual_covering_violation,
     is_atomistic,
     is_coatomistic,
-    join,
-    meet,
     powerset_space,
     space_from_json,
     space_from_masks,
     space_to_json,
-    upper_covers,
     validate_simple_closure_space,
 )
 from .errors import (

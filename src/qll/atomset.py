@@ -2,16 +2,23 @@
 
 Atoms are integers 0..universe_size-1 and a subset is an int whose bit i is
 set iff atom i is a member.  All set algebra is plain integer arithmetic,
-which keeps the closure / search inner loops cheap.  AtomSet is the hashable
-value type used at API boundaries; hot loops work on raw masks.
+and every function and method of qll takes and returns masks.
+members_mask is the checked way in from member lists (JSON input).
+
+AtomSet remains only as the value type of ExplicitSpace(family) and of the
+family view, the door the benchmark workloads still call; it has no set
+algebra of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import InputError, UniverseMismatch
+from .errors import InputError
+
+# what qll re-exports; the mask helpers are imported from qll.atomset by name
+__all__ = ["AtomSet"]
 
 
 def bit_members(mask: int) -> tuple[int, ...]:
@@ -67,8 +74,30 @@ def canonical_sorted(masks: Iterable[int], n: int) -> list[int]:
     return sorted(lex_sorted(masks, n), key=int.bit_count)
 
 
+def members_mask(universe_size: int, members: Iterable[int]) -> int:
+    """The mask of members, a collection of atoms of a universe of the given
+    size.  Input that is not such a collection is an InputError: members
+    that are not iterable, an atom that is not an integer, or an atom
+    outside the universe."""
+    try:
+        atoms = list(members)
+    except TypeError:
+        raise InputError(f"expected a list of atoms, got {members!r}") from None
+    m = 0
+    for i in atoms:
+        if not isinstance(i, int):
+            raise InputError(f"atom {i!r} is not an integer")
+        if not 0 <= i < universe_size:
+            raise InputError(f"atom {i} outside universe of size {universe_size}")
+        m |= 1 << i
+    return m
+
+
 @dataclass(frozen=True)
 class AtomSet:
+    """A subset of the atom universe as a hashable value: the element type
+    of the ExplicitSpace(family) door and of the family view."""
+
     universe_size: int
     mask: int
 
@@ -80,76 +109,13 @@ class AtomSet:
                 f"mask {self.mask:#x} does not fit universe of size {self.universe_size}"
             )
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def from_members(cls, universe_size: int, members: Iterable[int]) -> "AtomSet":
-        m = 0
-        for i in members:
-            if not 0 <= i < universe_size:
-                raise InputError(f"atom {i} outside universe of size {universe_size}")
-            m |= 1 << i
-        return cls(universe_size, m)
-
-    @classmethod
-    def empty(cls, universe_size: int) -> "AtomSet":
-        return cls(universe_size, 0)
-
-    @classmethod
-    def full(cls, universe_size: int) -> "AtomSet":
-        return cls(universe_size, (1 << universe_size) - 1)
-
-    @classmethod
-    def singleton(cls, universe_size: int, atom: int) -> "AtomSet":
-        if not 0 <= atom < universe_size:
-            raise InputError(f"atom {atom} outside universe of size {universe_size}")
-        return cls(universe_size, 1 << atom)
-
-    # -- queries -----------------------------------------------------------
+        return cls(universe_size, members_mask(universe_size, members))
 
     @property
     def members(self) -> tuple[int, ...]:
         return bit_members(self.mask)
-
-    def __contains__(self, atom: int) -> bool:
-        return 0 <= atom < self.universe_size and bool(self.mask >> atom & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def issubset(self, other: "AtomSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    def issuperset(self, other: "AtomSet") -> bool:
-        self._check(other)
-        return other.mask & ~self.mask == 0
-
-    # -- algebra -----------------------------------------------------------
-
-    def _check(self, other: "AtomSet") -> None:
-        if self.universe_size != other.universe_size:
-            raise UniverseMismatch(
-                f"universe sizes differ: {self.universe_size} vs {other.universe_size}"
-            )
-
-    def __and__(self, other: "AtomSet") -> "AtomSet":
-        self._check(other)
-        return AtomSet(self.universe_size, self.mask & other.mask)
-
-    def __or__(self, other: "AtomSet") -> "AtomSet":
-        self._check(other)
-        return AtomSet(self.universe_size, self.mask | other.mask)
-
-    def __sub__(self, other: "AtomSet") -> "AtomSet":
-        self._check(other)
-        return AtomSet(self.universe_size, self.mask & ~other.mask)
 
     def __repr__(self) -> str:
         return f"AtomSet({self.universe_size}, {{{', '.join(map(str, self.members))}}})"

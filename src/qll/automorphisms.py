@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .atomset import AtomSet, bit_members
+from .atomset import bit_members
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import ClosureSpace, ExplicitSpace, _require_explicit
 from .errors import (
@@ -78,9 +78,6 @@ class AtomPermutation:
             out |= 1 << img[low.bit_length() - 1]
             m ^= low
         return out
-
-    def apply(self, a: AtomSet) -> AtomSet:
-        return AtomSet(a.universe_size, self.apply_mask(a.mask))
 
     def compose(self, other: "AtomPermutation") -> "AtomPermutation":
         """self after other: (self.compose(other))(x) = self(other(x))."""

@@ -6,6 +6,12 @@ and every singleton.  Such a family, ordered by inclusion, is a complete
 atomistic lattice: meet is intersection, join is the closure of the union,
 and the atoms are the singletons.
 
+Sets are masks (see atomset), in arguments and results alike.  Every
+space answers contains_mask and closure_mask, so meet is a & b and join
+is closure_mask(a | b); an explicit space also lists upper_cover_masks
+and coatom_masks.  AtomSet appears only at the ExplicitSpace(family) door
+and in the family view built on request.
+
 Two backends share one interface:
 
 * ExplicitSpace holds the sorted family (canonical order: cardinality, then
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .atomset import AtomSet, bit_members, canonical_sorted
+from .atomset import AtomSet, bit_members, canonical_sorted, members_mask
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import (
     BudgetExceeded,
@@ -139,22 +145,6 @@ class ClosureSpace:
 
     def closure_mask(self, mask: int) -> int:
         raise NotImplementedError
-
-    # -- AtomSet-level conveniences -----------------------------------------
-
-    def _check_universe(self, a: AtomSet) -> None:
-        if a.universe_size != self.universe_size:
-            raise UniverseMismatch(
-                f"set lives in universe {a.universe_size}, space has {self.universe_size}"
-            )
-
-    def contains(self, a: AtomSet) -> bool:
-        self._check_universe(a)
-        return self.contains_mask(a.mask)
-
-    def closure(self, a: AtomSet) -> AtomSet:
-        self._check_universe(a)
-        return AtomSet(self.universe_size, self.closure_mask(a.mask))
 
     def full_mask(self) -> int:
         return (1 << self.universe_size) - 1
@@ -431,48 +421,10 @@ def powerset_space(universe_size: int) -> ExplicitSpace:
     return space_from_masks(universe_size, range(1 << universe_size))
 
 
-# ---------------------------------------------------------------------------
-# lattice operations
-
-
-def _require_closed(space: ClosureSpace, a: AtomSet, role: str) -> None:
-    if not space.contains(a):
-        raise ContractViolation(f"{role} {a!r} is not a closed set of the space")
-
-
-def join(space: ClosureSpace, a: AtomSet, b: AtomSet) -> AtomSet:
-    """Least closed superset of a ∪ b.  Inputs must be closed."""
-    _require_closed(space, a, "left join argument")
-    _require_closed(space, b, "right join argument")
-    return AtomSet(space.universe_size, space.closure_mask(a.mask | b.mask))
-
-
-def meet(space: ClosureSpace, a: AtomSet, b: AtomSet) -> AtomSet:
-    """Intersection (closed sets are intersection-closed).  Inputs must be closed."""
-    _require_closed(space, a, "left meet argument")
-    _require_closed(space, b, "right meet argument")
-    return AtomSet(space.universe_size, a.mask & b.mask)
-
-
 def _require_explicit(space: ClosureSpace, op: str) -> ExplicitSpace:
     if not isinstance(space, ExplicitSpace):
         raise UnsupportedRepresentation(f"{op} requires an explicit family")
     return space
-
-
-def covers(space: ClosureSpace, lower: AtomSet, upper: AtomSet) -> bool:
-    """True iff upper covers lower: lower < upper with nothing strictly between."""
-    sp = _require_explicit(space, "covers")
-    _require_closed(sp, lower, "lower")
-    _require_closed(sp, upper, "upper")
-    return upper.mask in sp.upper_cover_masks(lower.mask)
-
-
-def upper_covers(space: ClosureSpace, a: AtomSet) -> tuple[AtomSet, ...]:
-    """Minimal closed sets strictly above a, in canonical order."""
-    sp = _require_explicit(space, "upper_covers")
-    _require_closed(sp, a, "argument")
-    return tuple(AtomSet(sp.universe_size, m) for m in sp.upper_cover_masks(a.mask))
 
 
 def _first_between(sp: ExplicitSpace, lo: int, hi: int) -> int:
@@ -495,12 +447,6 @@ def _first_between(sp: ExplicitSpace, lo: int, hi: int) -> int:
             return m
         between ^= low
     raise ContractViolation("the family is not closed under intersection")
-
-
-def coatoms(space: ClosureSpace) -> tuple[AtomSet, ...]:
-    """Lower covers of the universe (maximal proper closed sets)."""
-    sp = _require_explicit(space, "coatoms")
-    return tuple(AtomSet(sp.universe_size, m) for m in sp.coatom_masks())
 
 
 # ---------------------------------------------------------------------------
@@ -669,14 +615,18 @@ def space_to_json(space: ClosureSpace) -> dict:
 def space_from_json(data: dict, budgets: Budgets = DEFAULT_BUDGETS) -> ExplicitSpace:
     """Parse and validate a closure space; invalid families are input errors."""
     try:
-        n = int(data["universe"])
-        closed = data["closed_sets"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = data["universe"]
+        closed = list(data["closed_sets"])
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed closure-space JSON: {exc}") from exc
+    if not isinstance(n, int) or n < 0:
+        raise InputError(f"universe must be a nonnegative integer, got {n!r}")
     labels = data.get("atom_labels")
-    sets = []
-    for entry in closed:
-        sets.append(AtomSet.from_members(n, entry))
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+    ):
+        raise InputError(f"atom_labels must be a list of strings, got {labels!r}")
+    sets = [AtomSet(n, members_mask(n, entry)) for entry in closed]
     report = validate_simple_closure_space(sets)
     if not report.valid:
         raise InputError(

@@ -22,7 +22,7 @@ from itertools import product
 from operator import mul
 from typing import Sequence
 
-from .atomset import AtomSet, bit_members
+from .atomset import bit_members
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import ExplicitSpace, _transpose, space_from_masks
 from .errors import (
@@ -261,8 +261,9 @@ def tensor_model(m1: SubspaceModel, m2: SubspaceModel) -> SubspaceModel:
     return model
 
 
-def sigma_down(v: Subspace) -> AtomSet:
-    """Factor atom pairs (p1, p2) whose product vector lies in v.
+def sigma_down(v: Subspace) -> int:
+    """Mask of the factor atom pairs (p1, p2) whose product vector lies in
+    v, pair (i1, i2) at bit i1 * n2 + i2.
 
     v must live in a tensor model built by tensor_model, so the pairing
     convention is known.
@@ -277,7 +278,7 @@ def sigma_down(v: Subspace) -> AtomSet:
         for i2, v2 in enumerate(m2.atom_table):
             if v.contains(kron_vec(v1, v2, model.q)):
                 mask |= 1 << (i1 * n2 + i2)
-    return AtomSet(m1.atom_count * n2, mask)
+    return mask
 
 
 def mo_lattice(n: int) -> tuple[ExplicitSpace, OrthogonalityRelation]:
@@ -393,8 +394,8 @@ def _pair_perp(w: Mat, m1: SubspaceModel, m2: SubspaceModel) -> int:
     return mask
 
 
-def linear_map_coatom(a: Mat, m1: SubspaceModel, m2: SubspaceModel) -> AtomSet:
-    """{(p, s) : form2(s, A p) = 0} over factor atom pairs, for a nonzero
+def linear_map_coatom(a: Mat, m1: SubspaceModel, m2: SubspaceModel) -> int:
+    """{(p, s) : form2(s, A p) = 0} as a pair mask, for a nonzero
     linear map A from the first model's space to the second's.
 
     form2(s, A p) = pᵀ W s with W = (F2 A)ᵀ, so _pair_perp reads the set
@@ -408,4 +409,4 @@ def linear_map_coatom(a: Mat, m1: SubspaceModel, m2: SubspaceModel) -> AtomSet:
     if m1.q != m2.q:
         raise InputError("factor models must share the field")
     w = transpose(mat_mul(m2.form, a, m1.q))
-    return AtomSet(m1.atom_count * m2.atom_count, _pair_perp(w, m1, m2))
+    return _pair_perp(w, m1, m2)

@@ -381,7 +381,7 @@ def _pipeline_only_bottom_has_ortho(
         checks.append(
             _check(
                 "cross_map_found_by_search",
-                any(m.image_masks() == cons.ortho.image_masks() for m in search.maps),
+                any(m.atom_image == cons.ortho.atom_image for m in search.maps),
             )
         )
         certs["sep_cross_ortho"] = cons.ortho.to_json()
@@ -620,7 +620,7 @@ def _pipeline_down_properties(
     map_coatoms = {
         linear_map_coatom(
             tuple(w[i * k1 : (i + 1) * k1] for i in range(k2)), left.model, right.model
-        ).mask
+        )
         for w in projective_points(q, k1 * k2)
     }
     checks.append(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .atomset import AtomSet, bit_members
+from .atomset import bit_members, members_mask
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import ClosureSpace, ExplicitSpace, _require_explicit, _transpose, is_coatomistic
 from .errors import BudgetExceeded, ContractViolation, InputError
@@ -97,10 +97,11 @@ class OrthogonalityRelation:
 
 @dataclass(frozen=True)
 class OrthoMap:
-    """Candidate orthocomplementation, given by the image of each atom."""
+    """Candidate orthocomplementation, given by the image of each atom as a
+    mask."""
 
     space: ClosureSpace
-    atom_image: tuple[AtomSet, ...]
+    atom_image: tuple[int, ...]
     # verify_orthocomplementation's verdict on space, kept after the first call
     _verdict: "OrthoVerification | None" = field(
         default=None, init=False, repr=False, compare=False
@@ -111,35 +112,26 @@ class OrthoMap:
         if len(self.atom_image) != n:
             raise InputError("atom_image length does not match universe size")
         for img in self.atom_image:
-            if img.universe_size != n:
-                raise InputError("atom_image entry lives in a different universe")
+            if img < 0 or img >> n:
+                raise InputError(f"atom_image entry {img:#x} leaves the universe")
 
     def complement_mask(self, mask: int) -> int:
         """Intersection of the images of the atoms of mask (universe if empty)."""
         acc = (1 << self.space.universe_size) - 1
         for p in bit_members(mask):
-            acc &= self.atom_image[p].mask
+            acc &= self.atom_image[p]
         return acc
 
-    def complement(self, a: AtomSet) -> AtomSet:
-        return AtomSet(self.space.universe_size, self.complement_mask(a.mask))
-
-    def image_masks(self) -> tuple[int, ...]:
-        return tuple(img.mask for img in self.atom_image)
-
     def to_json(self) -> dict:
-        return {"atom_image": [list(img.members) for img in self.atom_image]}
+        return {"atom_image": [list(bit_members(img)) for img in self.atom_image]}
 
     @classmethod
     def from_json(cls, space: ClosureSpace, data: dict) -> "OrthoMap":
         try:
-            images = data["atom_image"]
+            images = list(data["atom_image"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed ortho-map JSON: {exc}") from exc
-        return cls(
-            space,
-            tuple(AtomSet.from_members(space.universe_size, ms) for ms in images),
-        )
+        return cls(space, tuple(members_mask(space.universe_size, ms) for ms in images))
 
 
 @dataclass(frozen=True)
@@ -173,8 +165,8 @@ def verify_orthocomplementation(
         return candidate._verdict
     coatom_set = set(sp.coatom_masks())
     for p, img in enumerate(candidate.atom_image):
-        if img.mask not in coatom_set:
-            raise InputError(f"image of atom {p} is not a coatom: {img!r}")
+        if img not in coatom_set:
+            raise InputError(f"image of atom {p} is not a coatom: {bit_members(img)}")
     verdict = _first_law_failure(sp, candidate)
     if candidate.space is sp:
         object.__setattr__(candidate, "_verdict", verdict)
@@ -285,9 +277,7 @@ def find_orthocomplementations(
         nonlocal nodes
         if pos == n:
             if coatomistic:
-                found.append(
-                    OrthoMap(sp, tuple(AtomSet(n, cms[image[p]]) for p in range(n)))
-                )
+                found.append(OrthoMap(sp, tuple(cms[ci] for ci in image)))
             return
         p = order[pos]
         options = allowed[p]
@@ -321,7 +311,7 @@ def find_orthocomplementations(
             image[p] = -1
 
     assign(0, initial)
-    found.sort(key=lambda om: om.image_masks())
+    found.sort(key=lambda om: om.atom_image)
     return OrthoSearchResult(tuple(found), exhaustive=True, nodes=nodes)
 
 
@@ -346,9 +336,7 @@ def ortho_from_atom_orthogonality(
     if relation.universe_size != sp.universe_size:
         raise InputError("relation universe does not match space")
     coatom_set = set(sp.coatom_masks())
-    images = []
-    for p in range(sp.universe_size):
-        m = relation.perp_masks[p]
+    for p, m in enumerate(relation.perp_masks):
         if m not in coatom_set:
             return OrthoConstruction(
                 None,
@@ -358,8 +346,7 @@ def ortho_from_atom_orthogonality(
                     "image": list(bit_members(m)),
                 },
             )
-        images.append(AtomSet(sp.universe_size, m))
-    candidate = OrthoMap(sp, tuple(images))
+    candidate = OrthoMap(sp, tuple(relation.perp_masks))
     verdict = verify_orthocomplementation(sp, candidate)
     if not verdict.ok:
         return OrthoConstruction(

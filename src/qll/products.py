@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
-from .atomset import AtomSet, bit_members, lex_sorted
+from .atomset import bit_members, lex_sorted
 from .automorphisms import AtomPermutation, first_unpreserved
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
@@ -473,18 +473,16 @@ def _star_generator_masks(
 
 def star_generators(
     left: ClosureSpace, right: ClosureSpace, budgets: Budgets = DEFAULT_BUDGETS
-) -> list[AtomSet]:
-    """Proper subsets of the pair universe whose every row section is a
-    coatom of the second factor or its whole universe, and every column
-    section a coatom of the first factor or its whole universe, in
-    canonical order: the section search on those options, less the full
-    mask, sorted on cardinality from its lex order.  Each row placed counts
-    against node_cap and each set found against family_cap."""
+) -> list[int]:
+    """Masks of the proper subsets of the pair universe whose every row
+    section is a coatom of the second factor or its whole universe, and
+    every column section a coatom of the first factor or its whole
+    universe, in canonical order: the section search on those options,
+    less the full mask, sorted on cardinality from its lex order.  Each row
+    placed counts against node_cap and each set found against family_cap."""
     l = _require_explicit(left, "star_generators")
     r = _require_explicit(right, "star_generators")
-    size = l.universe_size * r.universe_size
-    masks = _star_generator_masks(l, r, budgets)
-    return [AtomSet(size, m) for m in sorted(masks, key=int.bit_count)]
+    return sorted(_star_generator_masks(l, r, budgets), key=int.bit_count)
 
 
 def star_product(

@@ -209,7 +209,7 @@ def grid_set(space_masks_or_mask, n1, n2):
 
 def family_as_sets(space):
     """Explicit space to a set of frozensets of atom indices."""
-    return {frozenset(a.members) for a in space.family}
+    return {frozenset(_members(m)) for m in space.masks}
 
 
 def product_family_as_sets(space, n1, n2):
@@ -527,15 +527,13 @@ def transposed_index_walk(gens, row_options, n1, n2, budgets):
 
 
 def subspace_atom_set(s):
-    """Projective points lying in the subspace s, as atoms of its model, by
-    one in_row_space test per point."""
-    from qll.atomset import AtomSet
-
+    """Projective points lying in the subspace s, as a mask over the atoms
+    of its model, by one in_row_space test per point."""
     mask = 0
     for i, v in enumerate(s.model.atom_table):
         if s.contains(v):
             mask |= 1 << i
-    return AtomSet(s.model.atom_count, mask)
+    return mask
 
 
 def full_enumeration_projective_space(model):
@@ -543,7 +541,7 @@ def full_enumeration_projective_space(model):
     that build_projective_space now lists as flats."""
     from qll.geometry import enumerate_subspaces
 
-    return _canonical(subspace_atom_set(s).mask for s in enumerate_subspaces(model))
+    return _canonical(subspace_atom_set(s) for s in enumerate_subspaces(model))
 
 
 def form_value(model, u, v):
@@ -569,7 +567,7 @@ def full_enumeration_down(m1, m2):
     notes down_product reports."""
     from qll.geometry import enumerate_subspaces, sigma_down, tensor_model
 
-    images = [sigma_down(s).mask for s in enumerate_subspaces(tensor_model(m1, m2))]
+    images = [sigma_down(s) for s in enumerate_subspaces(tensor_model(m1, m2))]
     distinct = set(images)
     notes = {
         "subspaces": len(images),
@@ -683,7 +681,7 @@ def subspace_entangling_graph(m1, m2):
     vec = [0] * (m1.n * m2.n)
     vec[0] = vec[m2.n + 1] = 1  # coordinates (0, 0) and (1, 1)
     line = subspace_span(tensor_model(m1, m2), [tuple(vec)])
-    return sigma_down(orthogonal_complement(line)).mask
+    return sigma_down(orthogonal_complement(line))
 
 
 def rank_filtered_similitude_group(model):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from qll.atomset import AtomSet
+from qll.atomset import bit_members, mask_from_members
 from qll.closure import validate_simple_closure_space
 from qll.harness import resolve_base, resolve_instance, verify
 from qll.ortho import ortho_from_atom_orthogonality, verify_orthocomplementation
@@ -261,12 +261,11 @@ def test_criterion_8_property_suites():
         chain_ok &= (not star_g.contains_mask(mask) or top_g.contains_mask(mask))
         implicit_agrees &= implicit.contains_mask(mask) == in_top
 
-        a = AtomSet(16, mask)
-        c = implicit.closure(a)
-        laws_ok &= a.issubset(c)
-        laws_ok &= implicit.closure(c) == c
-        sub = AtomSet(16, mask & rng.randrange(1 << 16))
-        laws_ok &= implicit.closure(sub).issubset(c)
+        c = implicit.closure_mask(mask)
+        laws_ok &= mask & ~c == 0
+        laws_ok &= implicit.closure_mask(c) == c
+        sub = mask & rng.randrange(1 << 16)
+        laws_ok &= implicit.closure_mask(sub) & ~c == 0
 
     # exhaustive sides: materialized families really are closure systems,
     # and the chains hold set-wise
@@ -274,7 +273,7 @@ def test_criterion_8_property_suites():
         validate_simple_closure_space(s.family).valid
         for s in (sep, star, top, sep_g, down_g, star_g, top_g)
     )
-    masks = {name: {a.mask for a in s.family} for name, s in
+    masks = {name: set(s.masks) for name, s in
              [("sep", sep), ("star", star), ("top", top),
               ("sep_g", sep_g), ("down_g", down_g), ("star_g", star_g),
               ("top_g", top_g)]}
@@ -297,20 +296,16 @@ def test_criterion_8_property_suites():
                 if p == q:
                     continue
                 (p1, p2), (q1, q2) = grid.unindex(p), grid.unindex(q)
-                joined = space.closure(AtomSet.from_members(16, [p, q]))
+                joined = space.closure_mask(1 << p | 1 << q)
                 if p1 != q1 and p2 != q2:
-                    remarks_ok &= joined == AtomSet.from_members(16, [p, q])
+                    remarks_ok &= joined == 1 << p | 1 << q
                 elif p1 == q1:
-                    fj = factors[1].closure(AtomSet.from_members(4, [p2, q2]))
-                    want = AtomSet.from_members(
-                        16, [grid.index(p1, j) for j in fj.members]
-                    )
+                    fj = factors[1].closure_mask(1 << p2 | 1 << q2)
+                    want = mask_from_members(grid.index(p1, j) for j in bit_members(fj))
                     remarks_ok &= joined == want
                 else:
-                    fj = factors[0].closure(AtomSet.from_members(4, [p1, q1]))
-                    want = AtomSet.from_members(
-                        16, [grid.index(i, p2) for i in fj.members]
-                    )
+                    fj = factors[0].closure_mask(1 << p1 | 1 << q1)
+                    want = mask_from_members(grid.index(i, p2) for i in bit_members(fj))
                     remarks_ok &= joined == want
 
     _criterion(
@@ -331,12 +326,12 @@ def test_criterion_9_boolean_factors_give_powerset():
     from qll.closure import powerset_space
     from qll.errors import InputError
 
-    ps = {a.mask for a in powerset_space(4).family}
+    ps = set(powerset_space(4).masks)
     results = {}
     for kind in ("sep", "top", "star"):
         space = resolve_instance(f"{kind}(boolean2,boolean2)").space
-        results[f"{kind}_is_powerset"] = {a.mask for a in space.family} == ps
-        results[f"{kind}_has_16_sets"] = len(space.family) == 16
+        results[f"{kind}_is_powerset"] = set(space.masks) == ps
+        results[f"{kind}_has_16_sets"] = len(space.masks) == 16
     try:
         resolve_instance("down(boolean2,boolean2)")
         results["down_does_not_apply"] = False

@@ -11,7 +11,7 @@ from functools import cache
 import pytest
 
 from helpers import generated_group, naive_automorphism_group
-from qll.atomset import AtomSet
+from qll.atomset import bit_members, mask_from_members
 from qll.automorphisms import (
     AtomPermutation,
     automorphism_chain,
@@ -22,7 +22,7 @@ from qll.automorphisms import (
 )
 from qll.budgets import DEFAULT_BUDGETS
 from qll.cli import main
-from qll.closure import ExplicitSpace, powerset_space
+from qll.closure import powerset_space, space_from_masks
 from qll.errors import BudgetExceeded, DecompositionFailed
 from qll.harness import resolve_base, resolve_instance
 from qll.products import sep_product, star_product
@@ -56,8 +56,8 @@ def _space(name, seed):
     n = space.universe_size
     image = list(range(n))
     random.Random(seed).shuffle(image)
-    return ExplicitSpace(
-        AtomSet.from_members(n, (image[p] for p in s.members)) for s in space.family
+    return space_from_masks(
+        n, (mask_from_members(image[p] for p in bit_members(m)) for m in space.masks)
     )
 
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from qll.atomset import AtomSet
 from qll.automorphisms import (
     AtomPermutation,
     automorphism_chain,
@@ -13,7 +12,7 @@ from qll.automorphisms import (
     orbits,
 )
 from qll.budgets import DEFAULT_BUDGETS
-from qll.closure import ExplicitSpace, coatoms, covers, powerset_space
+from qll.closure import powerset_space, space_from_masks
 from qll.errors import (
     BudgetExceeded,
     ContractViolation,
@@ -68,17 +67,16 @@ def test_product_group_orders(sep_mm, star_mm):
 def test_automorphisms_preserve_structure(sep_mm):
     group = automorphism_group(sep_mm.space)
     sp = sep_mm.space
-    coatom_masks = {c.mask for c in coatoms(sp)}
+    coatom_masks = set(sp.coatom_masks())
     for g in group[:40]:
         assert is_automorphism(sp, g)
         for c in list(coatom_masks)[:5]:
             assert g.apply_mask(c) in coatom_masks
     # cover relation is preserved on a sample
     g = group[17]
-    empty = AtomSet.empty(16)
-    single = AtomSet.singleton(16, 3)
-    assert covers(sp, empty, single)
-    assert covers(sp, empty, g.apply(single))
+    empty, single = 0, 1 << 3
+    assert single in sp.upper_cover_masks(empty)
+    assert g.apply_mask(single) in sp.upper_cover_masks(empty)
 
 
 def test_non_automorphism_detected(mo2, sep_mm):
@@ -185,7 +183,7 @@ def test_induced_map_not_automorphism_raises(boolean2):
         "custom",
         boolean2.space,
         boolean2.space,
-        ExplicitSpace(AtomSet(4, m) for m in masks),
+        space_from_masks(4, masks),
         grid,
     )
     flip = AtomPermutation((1, 0))

@@ -8,23 +8,19 @@ from helpers import (
     naive_closure,
     naive_is_simple_closure_space,
 )
-from qll.atomset import AtomSet
+from qll.atomset import AtomSet, bit_members, mask_from_members
 from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import (
     ExplicitSpace,
     ImplicitSpace,
-    coatoms,
-    covers,
     find_covering_violation,
     find_dual_covering_violation,
     is_atomistic,
     is_coatomistic,
-    join,
-    meet,
     powerset_space,
     space_from_json,
+    space_from_masks,
     space_to_json,
-    upper_covers,
     validate_simple_closure_space,
 )
 from qll.errors import (
@@ -33,12 +29,11 @@ from qll.errors import (
     InputError,
     UnsupportedRepresentation,
 )
+from qll.ortho import OrthoMap
 
 
 def _space(universe_size, members):
-    return ExplicitSpace(
-        AtomSet.from_members(universe_size, m) for m in members
-    )
+    return space_from_masks(universe_size, map(mask_from_members, members))
 
 
 @pytest.fixture()
@@ -73,12 +68,11 @@ def test_validation_flags_open_intersection():
 
 
 def test_validation_flags_duplicates_and_universe_mismatch():
-    dup = [AtomSet.empty(2), AtomSet.empty(2), AtomSet.full(2),
-           AtomSet.singleton(2, 0), AtomSet.singleton(2, 1)]
+    dup = [AtomSet(2, 0), AtomSet(2, 0), AtomSet(2, 0b11), AtomSet(2, 0b1), AtomSet(2, 0b10)]
     assert any(v.kind == "duplicate" for v in validate_simple_closure_space(dup).violations)
     with pytest.raises(InputError):
         validate_simple_closure_space([])
-    mixed = [AtomSet.empty(2), AtomSet.empty(3)]
+    mixed = [AtomSet(2, 0), AtomSet(3, 0)]
     with pytest.raises(InputError):
         validate_simple_closure_space(mixed)
 
@@ -86,35 +80,20 @@ def test_validation_flags_duplicates_and_universe_mismatch():
 def test_closure_mask_matches_naive(mo2_space):
     family = family_as_sets(mo2_space)
     for probe in ([0], [0, 1], [2, 3], [0, 1, 2, 3], []):
-        got = mo2_space.closure(AtomSet.from_members(4, probe))
+        got = mo2_space.closure_mask(mask_from_members(probe))
         want = naive_closure(family, probe)
-        assert frozenset(got.members) == want
+        assert frozenset(bit_members(got)) == want
 
 
 def test_family_is_canonically_ordered(mo2_space):
-    keys = [(m.bit_count(), tuple(a.members)) for m, a in
-            zip(mo2_space.masks, mo2_space.family)]
+    keys = [(m.bit_count(), bit_members(m)) for m in mo2_space.masks]
     assert keys == sorted(keys)
 
 
-def test_join_meet_contract(mo2_space):
-    a = AtomSet.singleton(4, 0)
-    b = AtomSet.singleton(4, 1)
-    assert join(mo2_space, a, b) == AtomSet.full(4)
-    assert meet(mo2_space, a, b) == AtomSet.empty(4)
-    with pytest.raises(ContractViolation):
-        join(mo2_space, AtomSet.from_members(4, [0, 1]), b)
-
-
 def test_covers_and_coatoms(mo2_space):
-    empty = AtomSet.empty(4)
-    single = AtomSet.singleton(4, 0)
-    assert covers(mo2_space, empty, single)
-    assert not covers(mo2_space, empty, AtomSet.full(4))
-    assert upper_covers(mo2_space, empty) == tuple(
-        AtomSet.singleton(4, i) for i in range(4)
-    )
-    assert {c.members for c in coatoms(mo2_space)} == {(0,), (1,), (2,), (3,)}
+    # the atoms cover the empty set, and the universe does not
+    assert mo2_space.upper_cover_masks(0) == tuple(1 << i for i in range(4))
+    assert {bit_members(c) for c in mo2_space.coatom_masks()} == {(0,), (1,), (2,), (3,)}
 
 
 def test_atomistic_and_coatomistic(mo2_space):
@@ -145,11 +124,8 @@ def test_cover_relation_needs_intersection_closed_family():
     # {0}, yet they meet in {0,1}, not in {0}; and the coatom {0,1,3} meets
     # {0,1,2} outside the family
     sp = _space(4, [[], [0], [1], [2], [3], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3]])
-    lo = AtomSet.singleton(4, 0)
     with pytest.raises(ContractViolation):
-        covers(sp, lo, AtomSet.from_members(4, [0, 1, 2]))
-    with pytest.raises(ContractViolation):
-        upper_covers(sp, lo)
+        sp.upper_cover_masks(0b1)
     with pytest.raises(ContractViolation):
         find_dual_covering_violation(sp)
 
@@ -177,6 +153,28 @@ def test_json_rejects_invalid():
     data = {"universe_size": 2, "family": [[0], [0, 1]], "atom_labels": ["0", "1"]}
     with pytest.raises(InputError):
         space_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"universe": 4, "closed_sets": 5},
+        {"universe": 4, "closed_sets": [[], 3]},
+        {"universe": 4, "closed_sets": [[], ["a"]]},
+        {"atom_image": 3},
+        # read as a universe of 2, these sets would form a valid space
+        {"universe": 2.7, "closed_sets": [[], [0], [1], [0, 1]]},
+        {"universe": 2, "closed_sets": [[], [0], [1], [0, 1]], "atom_labels": 5},
+    ],
+    ids=["closed-sets-int", "entry-int", "atom-str", "atom-image-int", "universe-float",
+         "labels-int"],
+)
+def test_json_loaders_raise_input_error(mo2_space, data):
+    with pytest.raises(InputError):
+        if "atom_image" in data:
+            OrthoMap.from_json(mo2_space, data)
+        else:
+            space_from_json(data)
 
 
 def test_family_cap():

@@ -1,5 +1,5 @@
 """The modules of qll import each other only at module level, and those
-imports form no cycle.
+imports form no cycle; and sets cross module boundaries as masks.
 
 A function-local import from the package usually hides a cycle: the module
 could not import the other one at the top without the two loading each
@@ -10,6 +10,7 @@ are left out of the graph.  The sources are read as text, not imported.
 from __future__ import annotations
 
 import ast
+import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -118,3 +119,51 @@ def test_import_reading_sees_what_it_should():
     )
     assert _module_level_imports(sample) == {"a", "b"}
     assert _local_imports(sample) == [("f", 7)]
+
+
+# the AtomSet conveniences that wrapped the mask methods, by module and class
+REMOVED = {
+    ("closure", None): {"join", "meet", "covers", "upper_covers", "coatoms", "_require_closed"},
+    ("closure", "ClosureSpace"): {"contains", "closure", "_check_universe"},
+    ("atomset", "AtomSet"): {
+        "empty", "full", "singleton", "__contains__", "__len__", "__iter__", "__bool__",
+        "issubset", "issuperset", "_check", "__and__", "__or__", "__sub__",
+    },
+    ("ortho", "OrthoMap"): {"complement", "image_masks"},
+    ("automorphisms", "AtomPermutation"): {"apply"},
+}
+
+
+def _defined(tree: ast.Module, cls: str | None) -> set[str]:
+    """The names a module defines at top level, or in the body of class cls."""
+    body = tree.body
+    if cls is not None:
+        (body,) = [n.body for n in body if isinstance(n, ast.ClassDef) and n.name == cls]
+    return {
+        n.name
+        for n in body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def test_only_the_family_door_names_atomset():
+    # every other module takes and returns masks
+    naming = {
+        p.name for p in PACKAGE.glob("*.py") if re.search(r"\bAtomSet\b", p.read_text())
+    }
+    assert naming == {"atomset.py", "closure.py"}
+
+
+def test_removed_conveniences_are_neither_defined_nor_exported():
+    sources = _sources()
+    for (module, cls), names in REMOVED.items():
+        defined = _defined(sources[module], cls)
+        assert defined and not names & defined, (module, cls, names & defined)
+    exported = {
+        alias.asname or alias.name
+        for node in sources[""].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "find_covering_violation" in exported
+    assert not exported & REMOVED[("closure", None)]

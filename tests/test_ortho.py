@@ -4,10 +4,10 @@ import pytest
 
 from helpers import family_as_sets, naive_orthocomplementations
 import qll.ortho
-from qll.atomset import AtomSet
+from qll.atomset import bit_members, mask_from_members
 from qll.budgets import DEFAULT_BUDGETS
 from qll.cli import main
-from qll.closure import ExplicitSpace, powerset_space
+from qll.closure import powerset_space, space_from_masks
 from qll.errors import BudgetExceeded, ContractViolation, InputError
 from qll.geometry import mo_lattice
 from qll.harness import verify
@@ -42,7 +42,7 @@ def test_mo2_ortho_count_matches_brute_force(mo2):
     assert len(res.maps) == len(naive) == 3
 
     got = {
-        tuple(frozenset(img.members) for img in m.atom_image) for m in res.maps
+        tuple(frozenset(bit_members(img)) for img in m.atom_image) for m in res.maps
     }
     want = {
         tuple(image[a] for a in range(4)) for image in naive
@@ -59,7 +59,7 @@ def test_mo2_relation_induces_valid_map(mo2):
 def test_verifier_rejects_wrong_maps(mo2):
     # identity atom assignment: images are coatoms here (the singletons) but
     # p <= p' fails the meet law
-    bad = OrthoMap(mo2.space, tuple(AtomSet.singleton(4, i) for i in range(4)))
+    bad = OrthoMap(mo2.space, tuple(1 << i for i in range(4)))
     verdict = verify_orthocomplementation(mo2.space, bad)
     assert not verdict.ok
     assert verdict.law == "meet_is_bottom"
@@ -69,8 +69,16 @@ def test_verifier_rejects_non_coatom_image(mo2):
     with pytest.raises(InputError):
         verify_orthocomplementation(
             mo2.space,
-            OrthoMap(mo2.space, tuple(AtomSet.full(4) for _ in range(4))),
+            OrthoMap(mo2.space, (0b1111,) * 4),
         )
+
+
+def test_ortho_map_images_lie_in_the_universe(mo2):
+    with pytest.raises(InputError):
+        OrthoMap(mo2.space, (0b1,) * 3)
+    for outside in (-1, 1 << 4):
+        with pytest.raises(InputError):
+            OrthoMap(mo2.space, (0b1, 0b10, 0b100, outside))
 
 
 def test_boolean_has_unique_ortho():
@@ -79,14 +87,14 @@ def test_boolean_has_unique_ortho():
     assert res.exhaustive and len(res.maps) == 1
     m = res.maps[0]
     for i in range(3):
-        assert m.atom_image[i].members == tuple(j for j in range(3) if j != i)
+        assert bit_members(m.atom_image[i]) == tuple(j for j in range(3) if j != i)
 
 
 def test_sep_has_nine_orthos_including_cross_map(sep_mm, hash_ortho_mm):
     res = find_orthocomplementations(sep_mm.space)
     assert res.exhaustive
     assert len(res.maps) == 9
-    assert any(m.image_masks() == hash_ortho_mm.image_masks() for m in res.maps)
+    assert any(m.atom_image == hash_ortho_mm.atom_image for m in res.maps)
 
 
 def test_cross_map_images_are_crosses(sep_mm, hash_ortho_mm, mo2):
@@ -97,7 +105,7 @@ def test_cross_map_images_are_crosses(sep_mm, hash_ortho_mm, mo2):
     for k in range(16):
         p1, p2 = grid.unindex(k)
         want = grid.cross_mask(1 << partner[p1], 1 << partner[p2])
-        assert hash_ortho_mm.atom_image[k].mask == want
+        assert hash_ortho_mm.atom_image[k] == want
 
 
 def test_top_search_certificate(top_mm):
@@ -113,7 +121,7 @@ def test_naive_search_confirms_certificate():
     # brute force over every injective atom-to-coatom assignment agrees
     pairs = [{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0, 3}]
     family = [set(), {0, 1, 2, 3}, *({i} for i in range(4)), *pairs]
-    space = ExplicitSpace(AtomSet.from_members(4, m) for m in family)
+    space = space_from_masks(4, map(mask_from_members, family))
     res = find_orthocomplementations(space)
     assert res.exhaustive and not res.maps and res.nodes == 0
     assert res.certificate == {
@@ -135,7 +143,7 @@ SIX_ATOMS = [set(), *({i} for i in range(6)), {0, 3}, {1, 5}, {2, 3}, {2, 4},
 
 @pytest.mark.parametrize("extra,count", [([], 1), ([{2, 5}], 0)])
 def test_search_keeps_leaves_iff_coatomistic(extra, count):
-    space = ExplicitSpace(AtomSet.from_members(6, m) for m in SIX_ATOMS + extra)
+    space = space_from_masks(6, map(mask_from_members, SIX_ATOMS + extra))
     res = find_orthocomplementations(space)
     assert len(space.coatom_masks()) == 6
     assert res.certificate is None and res.nodes == 9
@@ -143,7 +151,7 @@ def test_search_keeps_leaves_iff_coatomistic(extra, count):
     assert all(verify_orthocomplementation(space, m).ok for m in res.maps)
     naive = naive_orthocomplementations(family_as_sets(space), range(6))
     assert len(naive) == count
-    got = {tuple(frozenset(img.members) for img in m.atom_image) for m in res.maps}
+    got = {tuple(frozenset(bit_members(img)) for img in m.atom_image) for m in res.maps}
     assert got == {tuple(image[a] for a in range(6)) for image in naive}
 
 
@@ -185,7 +193,7 @@ def test_sep_is_not_orthomodular(sep_mm, hash_ortho_mm):
 
 
 def test_orthomodularity_needs_valid_map(mo2):
-    bad = OrthoMap(mo2.space, tuple(AtomSet.singleton(4, i) for i in range(4)))
+    bad = OrthoMap(mo2.space, tuple(1 << i for i in range(4)))
     with pytest.raises(ContractViolation):
         find_orthomodularity_violation(mo2.space, bad)
 
@@ -230,7 +238,7 @@ def test_third_atom_without_four_atoms():
     # atom 3 joins anything to the full set, which does not cover the
     # singletons below {0,1,2}, so no join covers a fourth atom
     family = [set(), *({i} for i in range(4)), {0, 1, 2}, {0, 1, 2, 3}]
-    space = ExplicitSpace(AtomSet.from_members(4, m) for m in family)
+    space = space_from_masks(4, map(mask_from_members, family))
     assert third_atom_condition(space)
     assert not four_atom_condition(space)
 
@@ -239,4 +247,4 @@ def test_ortho_map_json_roundtrip(mo2):
     cons = ortho_from_atom_orthogonality(mo2.space, mo2.relation)
     data = cons.ortho.to_json()
     back = OrthoMap.from_json(mo2.space, data)
-    assert back.image_masks() == cons.ortho.image_masks()
+    assert back.atom_image == cons.ortho.atom_image

@@ -78,7 +78,7 @@ def test_sep_matches_pairwise_closure(a, b):
 @pytest.mark.parametrize("a,b", FACTOR_PAIRS, ids=IDS)
 def test_star_matches_pairwise_closure(a, b):
     left, right = _factors(a, b)
-    gens = {g.mask for g in star_generators(left, right)}
+    gens = set(star_generators(left, right))
     expected = pairwise_close_under_intersections(gens, _full(left, right))
     assert star_product(left, right).space.masks == expected
 
@@ -89,14 +89,14 @@ STAR_PAIRS = FACTOR_PAIRS + [("boolean2", "mo2"), ("gf3_2", "gf3_2"), ("mo3", "m
 @pytest.mark.parametrize("a,b", STAR_PAIRS, ids=[f"{a},{b}" for a, b in STAR_PAIRS])
 def test_star_generators_match_feasible_column_search(a, b):
     left, right = _factors(a, b)
-    got = [g.mask for g in star_generators(left, right)]
+    got = star_generators(left, right)
     assert got == list(feasible_column_star_generators(left, right))
 
 
 @pytest.mark.parametrize("a,b", STAR_PAIRS, ids=[f"{a},{b}" for a, b in STAR_PAIRS])
 def test_star_walk_matches_generator_closure(a, b):
     left, right = _factors(a, b)
-    gens = {g.mask for g in star_generators(left, right)}
+    gens = set(star_generators(left, right))
     closed = _close_under_intersections(gens, _full(left, right), DEFAULT_BUDGETS)
     expected = _canonical(closed)
     assert star_product(left, right).space.masks == expected

@@ -13,10 +13,10 @@ from helpers import (
     nested_p4_failures,
     product_family_as_sets,
 )
-from qll.atomset import AtomSet, bit_members
+from qll.atomset import AtomSet, bit_members, mask_from_members
 from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import (
-    coatoms,
+    is_coatomistic,
     powerset_space,
     space_from_masks,
     validate_simple_closure_space,
@@ -99,9 +99,9 @@ def test_sep_validates_as_closure_space(sep_mm):
 
 
 def test_sep_coatoms_are_crosses(sep_mm):
-    cs = coatoms(sep_mm.space)
+    cs = sep_mm.space.coatom_masks()
     assert len(cs) == 16
-    assert all(len(c.members) == 7 for c in cs)
+    assert all(c.bit_count() == 7 for c in cs)
 
 
 def test_top_membership_matches_independent_enumeration(mo2, top_mm):
@@ -150,9 +150,7 @@ def test_star_generators_match_independent_enumeration(mo2, star_mm):
     f1, u1 = _mo2_sets(mo2)
     naive = naive_star_generators(f1, f1, sorted(u1), sorted(u1))
     gens = star_generators(mo2.space, mo2.space)
-    got = {
-        frozenset(divmod(k, 4) for k in g.members) for g in gens
-    }
+    got = {frozenset(divmod(k, 4) for k in bit_members(g)) for g in gens}
     assert got == naive
     assert len(got) == 40
     assert {len(g) for g in naive} == {4, 7}
@@ -172,10 +170,7 @@ def test_star_needs_coatomistic_factors():
     fam = [[], [0], [1], [0, 1]]
     sp = powerset_space(2)
     chain = [[], [0], [1], [2], [0, 1], [0, 1, 2]]
-    bad = [AtomSet.from_members(3, s) for s in chain]
-    from qll.closure import ExplicitSpace, is_coatomistic
-
-    bad_space = ExplicitSpace(bad)
+    bad_space = space_from_masks(3, map(mask_from_members, chain))
     assert validate_simple_closure_space(bad_space.family).valid
     assert not is_coatomistic(bad_space)
     with pytest.raises(ContractViolation):
@@ -194,7 +189,7 @@ def test_down_equals_star_on_gf3(down_gg, star_mm):
 
 
 def test_down_coatom_count(down_gg):
-    assert len(coatoms(down_gg.space)) == 40
+    assert len(down_gg.space.coatom_masks()) == 40
 
 
 def test_boolean_factors_collapse_everything(boolean2):
@@ -229,9 +224,6 @@ def test_p123_on_implicit_top(mo2):
 
 def test_p2_detects_missing_cross(mo2, sep_mm):
     # remove a cross and re-close: P2 must fail on the damaged instance
-    from qll.closure import ExplicitSpace
-    from qll.products import ProductInstance
-
     grid = sep_mm.grid
     cross = grid.cross_mask(0b0001, 0b0001)
     closed = {m for m in sep_mm.space.masks if m != cross}
@@ -248,7 +240,7 @@ def test_p2_detects_missing_cross(mo2, sep_mm):
         "sep",
         sep_mm.left,
         sep_mm.right,
-        ExplicitSpace(AtomSet(16, m) for m in closed),
+        space_from_masks(16, closed),
         grid,
     )
     report = check_p123(damaged)
@@ -303,9 +295,6 @@ def _single_row_instance(boolean2, column=False):
     """A family closed under intersection but not under the atom swap of the
     left factor: the single row breaks covariance.  With column=True, a
     single column breaks it for the right factor."""
-    from qll.closure import ExplicitSpace
-    from qll.products import ProductInstance
-
     grid = PairGrid(2, 2)
     line = grid.col_full_mask(0) if column else grid.row_full_mask(0)
     masks = {0, line, (1 << 4) - 1}
@@ -315,7 +304,7 @@ def _single_row_instance(boolean2, column=False):
         "custom",
         boolean2.space,
         boolean2.space,
-        ExplicitSpace(AtomSet(4, m) for m in masks),
+        space_from_masks(4, masks),
         grid,
     )
 

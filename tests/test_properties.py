@@ -4,9 +4,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from qll.atomset import AtomSet, lex_sorted
+from qll.atomset import bit_members, lex_sorted, mask_from_members
 from qll.budgets import DEFAULT_BUDGETS
-from qll.closure import ExplicitSpace, powerset_space
+from qll.closure import ExplicitSpace, powerset_space, space_from_masks
 from qll.errors import BudgetExceeded
 from qll.geometry import SubspaceModel, similitude_group
 from qll.gf import rref
@@ -32,9 +32,7 @@ def _space_from_seed(seed_masks: list[int]) -> ExplicitSpace:
         frozenset(i for i in range(UNIVERSE) if m >> i & 1) for m in seed_masks
     )
     closed = naive_close_under_intersections(sets, frozenset(range(UNIVERSE)))
-    return ExplicitSpace(
-        [AtomSet.from_members(UNIVERSE, s) for s in closed]
-    )
+    return space_from_masks(UNIVERSE, map(mask_from_members, closed))
 
 
 seeds = st.lists(
@@ -46,47 +44,31 @@ masks5 = st.integers(min_value=0, max_value=2**UNIVERSE - 1)
 @given(seeds, masks5)
 def test_closure_is_extensive_and_closed(seed_masks, mask):
     space = _space_from_seed(seed_masks)
-    a = AtomSet(UNIVERSE, mask)
-    c = space.closure(a)
-    assert a.issubset(c)
-    assert space.contains(c)
+    c = space.closure_mask(mask)
+    assert mask & ~c == 0
+    assert space.contains_mask(c)
 
 
 @given(seeds, masks5)
 def test_closure_is_idempotent(seed_masks, mask):
     space = _space_from_seed(seed_masks)
-    c = space.closure(AtomSet(UNIVERSE, mask))
-    assert space.closure(c) == c
+    c = space.closure_mask(mask)
+    assert space.closure_mask(c) == c
 
 
 @given(seeds, masks5, masks5)
 def test_closure_is_monotone(seed_masks, m1, m2):
     space = _space_from_seed(seed_masks)
-    a = AtomSet(UNIVERSE, m1 & m2)
-    b = AtomSet(UNIVERSE, m1 | m2)
-    assert space.closure(a).issubset(space.closure(b))
+    assert space.closure_mask(m1 & m2) & ~space.closure_mask(m1 | m2) == 0
 
 
 @given(seeds, masks5)
 def test_closure_is_minimal(seed_masks, mask):
     space = _space_from_seed(seed_masks)
-    a = AtomSet(UNIVERSE, mask)
-    c = space.closure(a)
-    supersets = [s for s in space.family if a.issubset(s)]
-    assert c == min(supersets, key=len)
-    assert all(c.issubset(s) for s in supersets)
-
-
-@given(masks5, masks5)
-def test_atomset_ops_match_python_sets(m1, m2):
-    a, b = AtomSet(UNIVERSE, m1), AtomSet(UNIVERSE, m2)
-    sa, sb = set(a.members), set(b.members)
-    assert set((a & b).members) == sa & sb
-    assert set((a | b).members) == sa | sb
-    assert set((a - b).members) == sa - sb
-    assert a.issubset(b) == (sa <= sb)
-    full = AtomSet.full(UNIVERSE)
-    assert set((full - a).members) == set(range(UNIVERSE)) - sa
+    c = space.closure_mask(mask)
+    supersets = [s for s in space.masks if mask & ~s == 0]
+    assert c == min(supersets, key=int.bit_count)
+    assert all(c & ~s == 0 for s in supersets)
 
 
 masks16 = st.integers(min_value=0, max_value=2**16 - 1)
@@ -96,27 +78,22 @@ masks16 = st.integers(min_value=0, max_value=2**16 - 1)
 def test_top_membership_is_sectionwise(top_mm, mo2, mask):
     cells = grid_set(mask, 4, 4)
     rows_ok = all(
-        mo2.space.contains(
-            AtomSet.from_members(4, [j for j in range(4) if (i, j) in cells])
-        )
+        mo2.space.contains_mask(mask_from_members(j for j in range(4) if (i, j) in cells))
         for i in range(4)
     )
     cols_ok = all(
-        mo2.space.contains(
-            AtomSet.from_members(4, [i for i in range(4) if (i, j) in cells])
-        )
+        mo2.space.contains_mask(mask_from_members(i for i in range(4) if (i, j) in cells))
         for j in range(4)
     )
-    assert top_mm.space.contains(AtomSet(16, mask)) == (rows_ok and cols_ok)
+    assert top_mm.space.contains_mask(mask) == (rows_ok and cols_ok)
 
 
 @given(masks16)
 def test_product_membership_chain(sep_mm, star_mm, top_mm, mask):
-    a = AtomSet(16, mask)
-    if sep_mm.space.contains(a):
-        assert star_mm.space.contains(a)
-    if star_mm.space.contains(a):
-        assert top_mm.space.contains(a)
+    if sep_mm.space.contains_mask(mask):
+        assert star_mm.space.contains_mask(mask)
+    if star_mm.space.contains_mask(mask):
+        assert top_mm.space.contains_mask(mask)
 
 
 @given(masks16)
@@ -124,11 +101,10 @@ def test_implicit_closure_contains_and_is_closed(top_mm, mask):
     from qll.products import top_product
 
     implicit = top_product(top_mm.left, top_mm.right).space
-    a = AtomSet(16, mask)
-    c = implicit.closure(a)
-    assert a.issubset(c)
-    assert implicit.contains(c)
-    assert top_mm.space.contains(c)
+    c = implicit.closure_mask(mask)
+    assert mask & ~c == 0
+    assert implicit.contains_mask(c)
+    assert top_mm.space.contains_mask(c)
 
 
 masks9 = st.integers(min_value=0, max_value=2**9 - 1)
@@ -255,9 +231,9 @@ def test_distinct_coordinate_atom_joins_are_pairs(sep_mm, top_mm, star_mm, p, q)
     (p1, p2), (q1, q2) = grid.unindex(p), grid.unindex(q)
     if p == q or p1 == q1 or p2 == q2:
         return
-    pair = AtomSet.from_members(16, [p, q])
+    pair = 1 << p | 1 << q
     for inst in (sep_mm, top_mm, star_mm):
-        assert inst.space.closure(pair) == pair
+        assert inst.space.closure_mask(pair) == pair
 
 
 @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
@@ -266,11 +242,10 @@ def test_shared_row_atom_joins_stay_in_the_row(sep_mm, mo2, p, q):
     (p1, p2), (q1, q2) = grid.unindex(p), grid.unindex(q)
     if p == q or p1 != q1:
         return
-    pair = AtomSet.from_members(16, [p, q])
-    joined = sep_mm.space.closure(pair)
-    factor_join = mo2.space.closure(AtomSet.from_members(4, [p2, q2]))
-    want = frozenset((p1, j) for j in factor_join.members)
-    assert grid_set(joined.mask, 4, 4) == want
+    joined = sep_mm.space.closure_mask(1 << p | 1 << q)
+    factor_join = mo2.space.closure_mask(1 << p2 | 1 << q2)
+    want = frozenset((p1, j) for j in bit_members(factor_join))
+    assert grid_set(joined, 4, 4) == want
 
 
 @given(st.permutations(list(range(4))))
