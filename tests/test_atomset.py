@@ -26,7 +26,6 @@ def test_members_sorted():
     a = AtomSet.from_members(5, [3, 0, 4])
     assert a.members == (0, 3, 4)
     assert a.mask == members_mask(5, [3, 0, 4]) == 0b11001
-    assert "AtomSet" in repr(AtomSet.from_members(3, [1]))
 
 
 def test_constructors():
@@ -42,6 +41,12 @@ def test_out_of_range_rejected():
         AtomSet.from_members(3, [3])
     with pytest.raises(InputError):
         AtomSet(-1, 0)
+
+
+def test_bool_and_repr():
+    assert not AtomSet.from_members(3, []).mask
+    assert AtomSet.from_members(3, [0]).mask
+    assert "AtomSet" in repr(AtomSet.from_members(3, [1]))
 
 
 def test_canonical_key_orders_by_size_then_members():
