@@ -3,7 +3,7 @@
 Atoms are integers 0..universe_size-1 and a subset is an int whose bit i is
 set iff atom i is a member.  All set algebra is plain integer arithmetic,
 and every function and method of qll takes and returns masks.
-members_mask is the checked way in from member lists (JSON input).
+members_mask and json_int are the checked ways in from JSON input.
 
 AtomSet remains only as the value type of ExplicitSpace(family) and of the
 family view, the door the benchmark workloads still call; it has no set
@@ -74,6 +74,13 @@ def canonical_sorted(masks: Iterable[int], n: int) -> list[int]:
     return sorted(lex_sorted(masks, n), key=int.bit_count)
 
 
+def json_int(value: object, what: str) -> int:
+    """value if it is an integer (a bool is not), else an InputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def members_mask(universe_size: int, members: Iterable[int]) -> int:
     """The mask of members, a collection of atoms of a universe of the given
     size.  Input that is not such a collection is an InputError: members
@@ -85,9 +92,7 @@ def members_mask(universe_size: int, members: Iterable[int]) -> int:
         raise InputError(f"expected a list of atoms, got {members!r}") from None
     m = 0
     for i in atoms:
-        if not isinstance(i, int):
-            raise InputError(f"atom {i!r} is not an integer")
-        if not 0 <= i < universe_size:
+        if not 0 <= json_int(i, "atom") < universe_size:
             raise InputError(f"atom {i} outside universe of size {universe_size}")
         m |= 1 << i
     return m

@@ -22,7 +22,7 @@ from itertools import product
 from operator import mul
 from typing import Sequence
 
-from .atomset import bit_members
+from .atomset import bit_members, json_int
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import ExplicitSpace, _transpose, space_from_masks
 from .errors import (
@@ -123,9 +123,9 @@ class SubspaceModel:
     @classmethod
     def from_json(cls, data: dict) -> "SubspaceModel":
         try:
-            q, n = int(data["q"]), int(data["n"])
-            form = tuple(tuple(int(x) for x in row) for row in data["form"])
-        except (KeyError, TypeError, ValueError) as exc:
+            q, n = json_int(data["q"], "q"), json_int(data["n"], "n")
+            form = tuple(tuple(json_int(x, "form entry") for x in row) for row in data["form"])
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed model JSON: {exc}") from exc
         return cls.create(q, n, form)
 

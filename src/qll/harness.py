@@ -77,10 +77,14 @@ class NamedInstance:
     space: ExplicitSpace
     relation: OrthogonalityRelation | None = None
     model: SubspaceModel | None = None
-    boolean: bool = False
     product: ProductInstance | None = None
     left: NamedInstance | None = None
     right: NamedInstance | None = None
+
+    @property
+    def boolean(self) -> bool:
+        """Whether the space is a powerset: every subset is closed."""
+        return len(self.space.masks) == 1 << self.space.universe_size
 
     def to_json(self) -> dict:
         if self.product is not None:
@@ -114,7 +118,7 @@ def _build_boolean(n: int) -> Callable[[Budgets], NamedInstance]:
         rel = OrthogonalityRelation.from_pairs(
             n, [(i, j) for i in range(n) for j in range(i + 1, n)]
         )
-        return NamedInstance(f"boolean{n}", space, relation=rel, boolean=True)
+        return NamedInstance(f"boolean{n}", space, relation=rel)
 
     return build
 

@@ -295,7 +295,8 @@ def linear_dual_covering_violation(space):
 # Slow constructors: the product builders that the generator-at-a-time
 # intersection closure, the section search (for top and for the star
 # generators), its packed column state, the hyperplane generators, the
-# perp-table row lookups and the flats of the factor lattices replaced.
+# perp-table row lookups and the flats of the factor lattices replaced; and
+# the pairwise validator that the closure-kernel check replaced.
 # Unless noted they return mask tuples in canonical family order.
 
 
@@ -323,6 +324,36 @@ def pairwise_close_under_intersections(seeds, full):
                 family.add(x)
                 queue.append(x)
     return _canonical(family)
+
+
+def pairwise_validate_simple_closure_space(universe_size, masks):
+    """The validator the closure-kernel check replaced: every clause, with
+    intersection closure checked on every pair of distinct members."""
+    from qll.atomset import bit_members
+    from qll.closure import ValidationReport, Violation
+
+    masks = list(masks)
+    mask_set = set(masks)
+    violations = []
+    seen = set()
+    for m in masks:
+        if m in seen:
+            violations.append(Violation("duplicate", (bit_members(m),)))
+        seen.add(m)
+    if 0 not in mask_set:
+        violations.append(Violation("missing_empty", ()))
+    if (1 << universe_size) - 1 not in mask_set:
+        violations.append(Violation("missing_universe", ()))
+    for i in range(universe_size):
+        if 1 << i not in mask_set:
+            violations.append(Violation("missing_singleton", ((i,),)))
+    uniq = sorted(mask_set)
+    for i, a in enumerate(uniq):
+        for b in uniq[i + 1 :]:
+            if a & b not in mask_set:
+                triple = (bit_members(a), bit_members(b), bit_members(a & b))
+                violations.append(Violation("intersection_missing", triple))
+    return ValidationReport(not violations, universe_size, tuple(violations))
 
 
 def cross_masks(left, right):

@@ -270,7 +270,7 @@ def test_criterion_8_property_suites():
     # exhaustive sides: materialized families really are closure systems,
     # and the chains hold set-wise
     families_valid = all(
-        validate_simple_closure_space(s.family).valid
+        validate_simple_closure_space(s.universe_size, s.masks).valid
         for s in (sep, star, top, sep_g, down_g, star_g, top_g)
     )
     masks = {name: set(s.masks) for name, s in

@@ -8,7 +8,7 @@ from helpers import (
     naive_closure,
     naive_is_simple_closure_space,
 )
-from qll.atomset import AtomSet, bit_members, mask_from_members
+from qll.atomset import bit_members, mask_from_members
 from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import (
     ExplicitSpace,
@@ -44,15 +44,13 @@ def mo2_space(mo2):
 def test_powerset_is_valid_and_boolean():
     sp = powerset_space(3)
     assert len(sp.masks) == 8
-    report = validate_simple_closure_space(sp.family)
+    report = validate_simple_closure_space(3, sp.masks)
     assert report.valid
 
 
 def test_validation_flags_missing_singleton():
     sets = [[], [0], [0, 1]]
-    report = validate_simple_closure_space(
-        [AtomSet.from_members(2, s) for s in sets]
-    )
+    report = validate_simple_closure_space(2, map(mask_from_members, sets))
     assert not report.valid
     kinds = {v.kind for v in report.violations}
     assert "missing_singleton" in kinds
@@ -60,21 +58,20 @@ def test_validation_flags_missing_singleton():
 
 def test_validation_flags_open_intersection():
     sets = [[], [0], [1], [2], [3], [0, 1, 2], [1, 2, 3], [0, 1, 2, 3]]
-    report = validate_simple_closure_space(
-        [AtomSet.from_members(4, s) for s in sets]
-    )
+    report = validate_simple_closure_space(4, map(mask_from_members, sets))
     assert not report.valid
     assert any(v.kind == "intersection_missing" for v in report.violations)
 
 
 def test_validation_flags_duplicates_and_universe_mismatch():
-    dup = [AtomSet(2, 0), AtomSet(2, 0), AtomSet(2, 0b11), AtomSet(2, 0b1), AtomSet(2, 0b10)]
-    assert any(v.kind == "duplicate" for v in validate_simple_closure_space(dup).violations)
+    dup = [0, 0, 0b11, 0b1, 0b10]
+    assert any(v.kind == "duplicate" for v in validate_simple_closure_space(2, dup).violations)
     with pytest.raises(InputError):
-        validate_simple_closure_space([])
-    mixed = [AtomSet(2, 0), AtomSet(3, 0)]
+        validate_simple_closure_space(2, [])
+    # a mask of a universe of 4 atoms, read in a universe of 2
+    mixed = [0, 0b1000]
     with pytest.raises(InputError):
-        validate_simple_closure_space(mixed)
+        validate_simple_closure_space(2, mixed)
 
 
 def test_closure_mask_matches_naive(mo2_space):
@@ -165,9 +162,13 @@ def test_json_rejects_invalid():
         # read as a universe of 2, these sets would form a valid space
         {"universe": 2.7, "closed_sets": [[], [0], [1], [0, 1]]},
         {"universe": 2, "closed_sets": [[], [0], [1], [0, 1]], "atom_labels": 5},
+        # a bool is not an integer: read as one, each of these would load
+        {"universe": True, "closed_sets": [[], [0]]},
+        {"universe": 2, "closed_sets": [[], [True], [False], [0, 1]]},
+        {"atom_image": [[True], [False], [3], [2]]},
     ],
     ids=["closed-sets-int", "entry-int", "atom-str", "atom-image-int", "universe-float",
-         "labels-int"],
+         "labels-int", "universe-bool", "atom-bool", "atom-image-bool"],
 )
 def test_json_loaders_raise_input_error(mo2_space, data):
     with pytest.raises(InputError):
@@ -175,6 +176,16 @@ def test_json_loaders_raise_input_error(mo2_space, data):
             OrthoMap.from_json(mo2_space, data)
         else:
             space_from_json(data)
+
+
+def test_json_error_names_the_clauses_and_the_missing_intersection():
+    # {0} is missing, and so is {0,1} ∩ {0,2}; built unchecked, this family
+    # would make closure and the cover relation answer wrongly
+    data = {"universe": 3, "closed_sets": [[], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]}
+    with pytest.raises(InputError) as exc:
+        space_from_json(data)
+    assert "missing_singleton [[0]]" in str(exc.value)
+    assert "intersection_missing [[0, 1], [0, 2], [0]]" in str(exc.value)
 
 
 def test_family_cap():

@@ -54,6 +54,24 @@ def test_model_creation_validates():
         SubspaceModel.create(3, 2, form=((0, 1), (2, 0)))  # not symmetric
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"q": 3.9, "n": 2, "form": [[1, 0], [0, 1]]},
+        {"q": 3, "n": "2", "form": [[1, 0], [0, 1]]},
+        {"q": True, "n": 2, "form": [[1, 0], [0, 1]]},
+        {"q": 3, "n": 2, "form": [[1.7, 0], [0, 1]]},
+        {"q": 3, "n": 2, "form": [[1, 0], [0, True]]},
+        {"q": 3.9, "n": "2", "form": [[1.7, 0], [0, True]]},
+    ],
+    ids=["q-float", "n-str", "q-bool", "form-float", "form-bool", "all-three"],
+)
+def test_model_json_reads_only_integers(data):
+    # int() would read each of these as GF(3)^2 with the identity form
+    with pytest.raises(InputError, match="is not an integer"):
+        SubspaceModel.from_json(data)
+
+
 def test_gf3_2_atoms_and_orthogonality(gf3_2):
     labels = gf3_2.space.atom_labels
     assert labels == ("(0,1)", "(1,0)", "(1,1)", "(1,2)")

@@ -28,6 +28,14 @@ from qll.harness import (
 )
 
 
+def test_boolean_is_read_off_the_family():
+    # a factor is boolean iff its family is the powerset of its atoms
+    for name in harness.BASE_BUILDERS:
+        assert resolve_base(name).boolean == name.startswith("boolean"), name
+    assert resolve_instance("sep(boolean2,boolean2)").boolean
+    assert not resolve_instance("sep(mo2,boolean2)").boolean
+
+
 def test_registry_lists_expected_names():
     names = list_instances()
     assert set(names["base"]) == {

@@ -146,12 +146,40 @@ def _defined(tree: ast.Module, cls: str | None) -> set[str]:
     }
 
 
+def _scopes_naming(tree: ast.Module, name: str) -> set[str]:
+    """The dotted names of the functions and classes whose code names name,
+    "" standing for module level outside them all."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == name:
+                found.add(scope)
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
 def test_only_the_family_door_names_atomset():
     # every other module takes and returns masks
     naming = {
         p.name for p in PACKAGE.glob("*.py") if re.search(r"\bAtomSet\b", p.read_text())
     }
     assert naming == {"atomset.py", "closure.py"}
+    # and in closure.py only the family door and the family view do:
+    # validation and the JSON loader read masks
+    assert _scopes_naming(_sources()["closure"], "AtomSet") == {
+        "ClosureSpace.family",
+        "ExplicitSpace.__init__",
+        "ExplicitSpace.family",
+        "ImplicitSpace.family",
+    }
+    sample = ast.parse("x: A = A\nclass C(A):\n    def f(self, a: A) -> B: ...\n")
+    assert _scopes_naming(sample, "A") == {"", "C", "C.f"}
 
 
 def test_removed_conveniences_are_neither_defined_nor_exported():

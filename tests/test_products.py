@@ -95,7 +95,7 @@ def test_sep_family_matches_independent_construction(mo2, sep_mm):
 
 
 def test_sep_validates_as_closure_space(sep_mm):
-    assert validate_simple_closure_space(sep_mm.space.family).valid
+    assert validate_simple_closure_space(16, sep_mm.space.masks).valid
 
 
 def test_sep_coatoms_are_crosses(sep_mm):
@@ -171,7 +171,7 @@ def test_star_needs_coatomistic_factors():
     sp = powerset_space(2)
     chain = [[], [0], [1], [2], [0, 1], [0, 1, 2]]
     bad_space = space_from_masks(3, map(mask_from_members, chain))
-    assert validate_simple_closure_space(bad_space.family).valid
+    assert validate_simple_closure_space(3, bad_space.masks).valid
     assert not is_coatomistic(bad_space)
     with pytest.raises(ContractViolation):
         star_product(bad_space, sp)

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from qll.atomset import bit_members, lex_sorted, mask_from_members
 from qll.budgets import DEFAULT_BUDGETS
-from qll.closure import ExplicitSpace, powerset_space, space_from_masks
+from qll.closure import (
+    ExplicitSpace,
+    powerset_space,
+    space_from_masks,
+    validate_simple_closure_space,
+)
 from qll.errors import BudgetExceeded
 from qll.geometry import SubspaceModel, similitude_group
 from qll.gf import rref
@@ -18,6 +23,7 @@ from helpers import (
     grid_set,
     naive_close_under_intersections,
     pairwise_close_under_intersections,
+    pairwise_validate_simple_closure_space,
     rank_filtered_similitude_group,
     transposed_index_walk,
 )
@@ -254,3 +260,45 @@ def test_powerset_automorphism_group_is_symmetric(image):
 
     space = powerset_space(4)
     assert is_automorphism(space, AtomPermutation(tuple(image)))
+
+
+@st.composite
+def small_families(draw):
+    """A universe of at most 6 atoms and a family of masks on it, repeats
+    allowed.  The empty set, the universe and the singletons are each in or
+    out, and the family is sometimes closed under intersection and then
+    loses one member, so every clause both holds and fails."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(min_value=0, max_value=full), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        masks += [0, full]
+    if draw(st.booleans()):
+        masks += [1 << i for i in range(n)]
+    if draw(st.booleans()):
+        masks = list(pairwise_close_under_intersections(masks, full))
+        if len(masks) > 1 and draw(st.booleans()):
+            del masks[draw(st.integers(min_value=0, max_value=len(masks) - 1))]
+    return n, masks
+
+
+@given(small_families())
+@example((3, [0, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]))
+def test_kernel_validator_agrees_with_pairwise_oracle(family):
+    n, masks = family
+    got = validate_simple_closure_space(n, masks)
+    want = pairwise_validate_simple_closure_space(n, masks)
+    assert got.valid == want.valid
+
+    def kinds(report):
+        return {v.kind for v in report.violations}
+
+    missing = "intersection_missing"
+    assert kinds(got) - {missing} == kinds(want) - {missing}
+    # the kernel criterion is exact once the empty set is a member
+    if 0 in masks:
+        assert (missing in kinds(got)) == (missing in kinds(want))
+    for v in got.violations:
+        if v.kind == missing:
+            a, b, c = map(mask_from_members, v.sets)
+            assert a in masks and b in masks and c == a & b and c not in masks
