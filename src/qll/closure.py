@@ -87,8 +87,9 @@ def _validation_report(sp: ExplicitSpace, masks: list[int]) -> ValidationReport:
         violations.append(Violation("missing_empty", ()))
     if not has(sp.full_mask()):
         violations.append(Violation("missing_universe", ()))
-    violations += [Violation("missing_singleton", ((i,),)) for i in range(n) if not has(1 << i)]
     members, extent = sp.masks, sp.atom_extents()
+    singletons = {m.bit_length() - 1 for m in members if m.bit_count() == 1}
+    violations += [Violation("missing_singleton", ((i,),)) for i in range(n) if i not in singletons]
     sizes = [sp.extent_of(m).bit_count() for m in members]
     for m in members:
         e = sp.extent_of(m)
@@ -617,6 +618,8 @@ def space_from_json(data: dict, budgets: Budgets = DEFAULT_BUDGETS) -> ExplicitS
     ):
         raise InputError(f"atom_labels must be a list of strings, got {labels!r}")
     masks = [members_mask(n, entry) for entry in closed]
+    if len(masks) < n + 1:  # checked before any per-atom work
+        raise InputError(f"{len(masks)} closed_sets cannot hold the empty set and {n} singletons")
     sp = space_from_masks(n, masks, labels, budgets)
     report = _validation_report(sp, masks)
     if not report.valid:

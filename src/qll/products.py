@@ -30,7 +30,8 @@ sep has few (the crosses) and is built one generator at a time by
 _close_under_intersections, at O(|gens|·|family|) intersections.  star
 has many more (756 on mo3 x mo3), so _generated_family lists its closed
 sets by a row walk that reads the meet of the generators containing each
-row prefix from per-row buckets, with work that grows with the family; on
+row prefix from per-row buckets and tries only the rows in which the keys
+of the buckets present meet, with work that grows with the family; on
 sep that walk is measured slower, so it keeps the closure.  down takes its
 generators and its flats from geometry, which lists the factor lattices
 the same way: _pair_perp reads each hyperplane image row by row from a
@@ -38,8 +39,9 @@ perp table, and _flats lists the flats rank by rank from a transposed
 index of the generators.
 
 _section_search and the row walk both place rows in the order of their
-options, starting at the lowest atoms.  top and star offer the rows in
-lex order (atomset.lex_sorted), so their sets come out in lex order and
+options, starting at the lowest atoms; _section_search places the last in
+its parent's loop.  top and star offer the rows in lex order
+(atomset.lex_sorted), so their sets come out in lex order and
 _space_from_lex_masks puts them into canonical order with one stable sort
 on cardinality; sep and down go through space_from_masks's full sort.
 
@@ -240,18 +242,19 @@ def _generated_family(
     generators that contain it (cl(X) = ∧{g : X ⊆ g}).  The walk places rows
     0..n1-1 one option at a time and carries live, the list of generators
     that contain the rows placed so far.  At row k a node sorts live into
-    buckets by their row-k section, keeping each bucket's meet and, before
-    the last row, its list.  The bucket keys are the distinct row-k sections
-    of all of gens, and for each option r the buckets whose key contains r
-    are found once per level: their generators are the live ones that
+    buckets by their row-k section, keeping each bucket's meet, the set of
+    buckets present and, before the last row, each bucket's list.  The
+    bucket keys are the distinct row-k sections of all of gens; the present
+    buckets whose key contains an option r hold the live generators that
     contain mask | r.  The child mask | r is kept only if the meet of those
-    buckets, cut to rows 0..k, is mask | r, that is, if every pair left out
-    so far is left out by some of them.  live only shrinks as rows are
-    added, so a branch that fails this has no member below it; at a leaf
-    live is exactly {g : X ⊆ g}, so every leaf is a member, and each member
-    is reached once, because its rows determine it.  With no live generator
-    the meet is the full grid, so only the full row passes.  Each row
-    placed counts against node_cap and each leaf against family_cap.
+    buckets, cut to rows 0..k, is mask | r: every pair left out so far is
+    left out by some of them.  Row k of that meet is the meet of their
+    keys, so only the options in which those keys meet are tried, a list
+    that depends on k and the buckets present alone and is built once per
+    pair.  live only shrinks, so a branch that fails has no member below
+    it; at a leaf live is exactly {g : X ⊆ g}, so every leaf is a member,
+    reached once.  With no live generator only the full row passes.  Each
+    row placed counts against node_cap and each leaf against family_cap.
 
     star is built this way.  Timed directly, the walk is slower than
     _close_under_intersections on sep's crosses and slower than _flats on
@@ -259,52 +262,71 @@ def _generated_family(
     """
     row_all = (1 << n2) - 1
     full = (1 << n1 * n2) - 1
-    # per row k: (shift, bucket of each row-k section, bucket count, rows
-    # 0..k, per option r: (r placed, the buckets whose key contains r))
+    node_cap, family_cap = budgets.node_cap, budgets.family_cap
+    # per row k: (shift, the bucket of each generator, rows 0..k, the keys
+    # and an always-full slot, per option the buckets whose key holds it,
+    # and per set of buckets present the options that can pass)
     levels = []
     for k in range(n1):
         shift = k * n2
         keys = list(dict.fromkeys(g >> shift & row_all for g in gens))
-        options = [
-            (r << shift, tuple(i for i, s in enumerate(keys) if not r & ~s))
-            for r in row_options
-        ]
-        bucket = {s: i for i, s in enumerate(keys)}
-        levels.append((shift, bucket, len(keys), (1 << shift + n2) - 1, options))
+        index = {s: i for i, s in enumerate(keys)}
+        bucket = {g: index[g >> shift & row_all] for g in gens}
+        above = [sum(1 << i for i, s in enumerate(keys) if not r & ~s) for r in row_options]
+        levels.append((shift, bucket, (1 << shift + n2) - 1, keys + [row_all], above, {}))
+
+    def passing(k: int, present: int) -> list[tuple[int, int, tuple[int, ...]]]:
+        # (r placed, first bucket, the others) for each option r in which the
+        # keys of the present buckets above r meet; the full slot if none
+        shift, _, _, keys, above, memo = levels[k]
+        out = memo[present] = []
+        for r, a in zip(row_options, above):
+            buckets = bit_members(a & present) or (len(keys) - 1,)
+            meet = row_all
+            for i in buckets:
+                meet &= keys[i]
+            if meet == r:
+                out.append((r << shift, buckets[0], buckets[1:]))
+        return out
+
     last = n1 - 1
     keep: list[int] = []
     nodes = 0
 
     def walk(k: int, mask: int, live: list[int]) -> None:
         nonlocal nodes
-        shift, bucket, width, cut, options = levels[k]
-        meets = [full] * width
+        shift, bucket, cut, keys, _, memo = levels[k]
+        meets = [full] * len(keys)
+        present = 0
         if k == last:
             for g in live:
-                meets[bucket[g >> shift & row_all]] &= g
+                i = bucket[g]
+                meets[i] &= g
+                present |= 1 << i
         else:
-            lists: list[list[int]] = [[] for _ in range(width)]
+            lists: list[list[int]] = [[] for _ in keys]
             for g in live:
-                i = bucket[g >> shift & row_all]
+                i = bucket[g]
                 meets[i] &= g
                 lists[i].append(g)
-        for r, above in options:
+                present |= 1 << i
+        for r, first, rest in memo.get(present) or passing(k, present):
             child = mask | r
-            m = full
-            for i in above:
+            m = meets[first]
+            for i in rest:
                 m &= meets[i]
             if m & cut != child:
                 continue
             nodes += 1
-            if nodes > budgets.node_cap:
-                raise BudgetExceeded("node_cap", budgets.node_cap)
+            if nodes > node_cap:
+                raise BudgetExceeded("node_cap", node_cap)
             if k == last:
                 keep.append(child)
-                if len(keep) > budgets.family_cap:
-                    raise BudgetExceeded("family_cap", budgets.family_cap)
+                if len(keep) > family_cap:
+                    raise BudgetExceeded("family_cap", family_cap)
             else:
-                below: list[int] = []
-                for i in above:
+                below = lists[first][:]
+                for i in rest:
                     below += lists[i]
                 walk(k + 1, child, below)
 
@@ -394,7 +416,7 @@ def _section_search(
     prefixes.  After the last row each field marks the allowed columns
     equal to its column, so the leaves are exactly the wanted masks.  Every
     row placed (each node of the search tree) counts against node_cap and
-    every leaf against family_cap.
+    every leaf, placed in its parent's loop, against family_cap.
     """
     cols = tuple(dict.fromkeys(col_allowed))
     width = len(cols) + 1
@@ -418,16 +440,14 @@ def _section_search(
                 for r in row_options
             ]
         )
+    last = n1 - 1
     keep: list[int] = []
     nodes = 0
+    if not n1:  # the empty grid is the one leaf
+        return [0]
 
     def rec(k: int, mask: int, state: int) -> None:
         nonlocal nodes
-        if k == n1:
-            keep.append(mask)
-            if len(keep) > budgets.family_cap:
-                raise BudgetExceeded("family_cap", budgets.family_cap)
-            return
         for row, s in sel[k]:
             t = state & s
             if ((t | guard) - low) & guard != guard:
@@ -435,7 +455,12 @@ def _section_search(
             nodes += 1
             if nodes > budgets.node_cap:
                 raise BudgetExceeded("node_cap", budgets.node_cap)
-            rec(k + 1, mask | row, t)
+            if k < last:
+                rec(k + 1, mask | row, t)
+            else:
+                keep.append(mask | row)
+                if len(keep) > budgets.family_cap:
+                    raise BudgetExceeded("family_cap", budgets.family_cap)
 
     rec(0, 0, every * low)
     return keep

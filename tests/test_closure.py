@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from helpers import (
@@ -186,6 +188,16 @@ def test_json_error_names_the_clauses_and_the_missing_intersection():
         space_from_json(data)
     assert "missing_singleton [[0]]" in str(exc.value)
     assert "intersection_missing [[0, 1], [0, 2], [0]]" in str(exc.value)
+
+
+def test_json_rejects_too_few_sets_before_building():
+    # a simple closure space holds the empty set and every singleton, so one
+    # set over 10**6 atoms is rejected on its count; hashing every singleton
+    # mask made this take quadratic time in the universe
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="1 closed_sets cannot hold"):
+        space_from_json({"universe": 10**6, "closed_sets": [[]]})
+    assert time.perf_counter() - start < 1
 
 
 def test_family_cap():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -36,7 +37,7 @@ from helpers import (
     transposed_index_walk,
 )
 from qll.budgets import DEFAULT_BUDGETS
-from qll.closure import _space_from_lex_masks
+from qll.closure import _space_from_lex_masks, powerset_space
 from qll.errors import BudgetExceeded, InputError
 from qll.geometry import SubspaceModel, _flats, build_projective_space
 from qll.gf import dot, projective_points, rank
@@ -100,6 +101,32 @@ def test_star_walk_matches_generator_closure(a, b):
     closed = _close_under_intersections(gens, _full(left, right), DEFAULT_BUDGETS)
     expected = _canonical(closed)
     assert star_product(left, right).space.masks == expected
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["boolean1,mo2", "mo2,boolean1"])
+def test_star_with_a_one_atom_factor_matches_generator_closure(swap):
+    # a one-row grid, whose root is the walk's last level, and a one-column
+    # grid of four rows
+    left, right = powerset_space(1), resolve_base("mo2").space
+    if swap:
+        left, right = right, left
+    gens = star_generators(left, right)
+    closed = _close_under_intersections(gens, _full(left, right), DEFAULT_BUDGETS)
+    assert star_product(left, right).space.masks == _canonical(closed)
+
+
+def test_star_with_a_large_right_factor_stops_on_its_budget():
+    # the walk's tables grow with the distinct row sections of the
+    # generators, not with the 2**31 rows a 31-atom factor could have
+    left, right = _factors("boolean2", "gf5_2")
+    start = time.perf_counter()
+    gens = star_generators(left, right)
+    closed = _close_under_intersections(gens, _full(left, right), DEFAULT_BUDGETS)
+    assert star_product(left, right).space.masks == _canonical(closed)
+    with pytest.raises(BudgetExceeded) as exc:
+        star_product(left, right, DEFAULT_BUDGETS.with_overrides(family_cap=10))
+    assert exc.value.budget_name == "family_cap"
+    assert time.perf_counter() - start < 5
 
 
 def _walk_and_closure(gens, row_options, n1, n2):
@@ -330,6 +357,7 @@ SECTION_PAIRS = [
     ("mo3", "mo2"),
     ("boolean3", "mo2"),
     ("gf5_2", "gf3_2"),
+    ("mo3", "mo3"),
 ]
 
 
@@ -346,11 +374,19 @@ def _section_options(kind, left, right):
 NODE_CAP_EDGES = [
     (a, b, kind, edge)
     for kind, edges in (
-        ("top", (369, 1409, 1980, 258, 1980)),
-        ("star", (112, 226, 166, 27, 166)),
+        ("top", (369, 1409, 1980, 258, 1980, 18878)),
+        ("star", (112, 226, 166, 27, 166, 2106)),
     )
     for (a, b), edge in zip(SECTION_PAIRS, edges)
 ]
+
+
+@pytest.mark.parametrize("n2", [1, 3])
+def test_section_search_on_a_zero_row_grid(n2):
+    # the root is the one leaf, the empty grid, and no row is placed
+    rows = list(range(1 << n2))
+    for search in (_section_search, prefix_section_search):
+        assert search(rows, [0], 0, n2, DEFAULT_BUDGETS.with_overrides(node_cap=0)) == [0]
 
 
 @pytest.mark.parametrize(

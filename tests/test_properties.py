@@ -160,6 +160,43 @@ def test_row_walk_matches_transposed_index_walk_on_other_grids(inputs):
 
 
 @st.composite
+def row_family_walk_inputs(draw):
+    """(gens, row options, n1, n2) on a grid of at most 3 x 3: an
+    intersection-closed family of rows holding the full row, offered in a
+    drawn order, and generators whose every row lies in it."""
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row_all = (1 << n2) - 1
+    seeds = draw(st.lists(st.integers(0, row_all), max_size=4))
+    family = sorted(pairwise_close_under_intersections(seeds, row_all))
+    rows = draw(st.permutations(family))
+    gen_rows = st.lists(st.sampled_from(family), min_size=n1, max_size=n1)
+    gens = [
+        sum(r << (k * n2) for k, r in enumerate(g))
+        for g in draw(st.lists(gen_rows, max_size=10))
+    ]
+    return gens, rows, n1, n2
+
+
+@given(row_family_walk_inputs())
+@example(([0b001, 0b010], [0b000, 0b111, 0b001, 0b010], 1, 3))
+@example(([0b101110, 0b011101, 0b111111], [0b11, 0b01, 0b10, 0b00], 3, 2))
+def test_row_walk_matches_transposed_index_walk_on_row_families(inputs):
+    # every intersection of the generators has its rows in the family, and
+    # each node is a row prefix of one, so the transposed-index walk places
+    # exactly one row per distinct prefix
+    gens, rows, n1, n2 = inputs
+    closed = pairwise_close_under_intersections(gens, 2 ** (n1 * n2) - 1)
+    nodes = len({(k, m & (2 ** (k * n2) - 1)) for m in closed for k in range(1, n1 + 1)})
+    passing = DEFAULT_BUDGETS.with_overrides(node_cap=nodes)
+    expected = transposed_index_walk(gens, rows, n1, n2, passing)
+    assert _generated_family(gens, rows, n1, n2, passing) == expected
+    for walk in (_generated_family, transposed_index_walk):
+        with pytest.raises(BudgetExceeded) as exc:
+            walk(gens, rows, n1, n2, passing.with_overrides(node_cap=nodes - 1))
+        assert exc.value.budget_name == "node_cap"
+
+
+@st.composite
 def search_inputs(draw):
     """(n1, n2, row options, allowed columns, generators) on a 2 x 3, 3 x 2
     or 3 x 3 grid: the option lists drawn without repeats, in drawn order."""
