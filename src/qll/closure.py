@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .atomset import AtomSet, bit_members, canonical_sorted, json_int, members_mask
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -81,7 +81,7 @@ def _validation_report(sp: ExplicitSpace, masks: list[int]) -> ValidationReport:
     """
     n, has = sp.universe_size, sp.contains_mask
     violations = [
-        Violation("duplicate", (bit_members(m),)) for m, k in Counter(masks).items() if k > 1
+        Violation("duplicate", (tuple(_atoms_of(m)),)) for m, k in Counter(masks).items() if k > 1
     ]
     if not has(0):
         violations.append(Violation("missing_empty", ()))
@@ -90,34 +90,62 @@ def _validation_report(sp: ExplicitSpace, masks: list[int]) -> ValidationReport:
     members, extent = sp.masks, sp.atom_extents()
     singletons = {m.bit_length() - 1 for m in members if m.bit_count() == 1}
     violations += [Violation("missing_singleton", ((i,),)) for i in range(n) if i not in singletons]
-    sizes = [sp.extent_of(m).bit_count() for m in members]
+    everything = (1 << len(members)) - 1
+
+    def extent_of(m: int) -> int:  # sp.extent_of, linear in n
+        idx = everything
+        for p in _atoms_of(m):
+            idx &= extent[p]
+        return idx
+
+    sizes = [extent_of(m).bit_count() for m in members]
     for m in members:
-        e = sp.extent_of(m)
-        for p in bit_members(sp.full_mask() & ~m):
+        e = extent_of(m)
+        for p in _atoms_of(sp.full_mask() & ~m):
             idx = e & extent[p]
             c = (idx & -idx).bit_length() - 1
             if idx and idx.bit_count() != sizes[c]:
-                rest = idx & ~sp.extent_of(members[c])
+                rest = idx & ~extent_of(members[c])
                 a, b = members[c], members[(rest & -rest).bit_length() - 1]
-                triple = (bit_members(a), bit_members(b), bit_members(a & b))
+                triple = (tuple(_atoms_of(a)), tuple(_atoms_of(b)), tuple(_atoms_of(a & b)))
                 violations.append(Violation("intersection_missing", triple))
                 return ValidationReport(False, n, tuple(violations))
     return ValidationReport(not violations, n, tuple(violations))
+
+
+def _atoms_of(mask: int) -> Iterator[int]:
+    """The atoms of mask, ascending, in time linear in its bit length, where
+    bit_members clears one bit of the whole int per atom."""
+    digits = bin(mask)[:1:-1]  # digits[p] is bit p
+    p = digits.find("1")
+    while p >= 0:
+        yield p
+        p = digits.find("1", p + 1)
 
 
 # ---------------------------------------------------------------------------
 # spaces
 
 
+# _DIGITS[k] maps a byte to b"1" when its bit k is set and to b"0" otherwise
+_DIGITS = tuple(bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8))
+
+
 def _transpose(masks: tuple[int, ...], universe_size: int) -> tuple[int, ...]:
-    """For every atom p, the bitset over indices i of the masks holding p."""
-    size = len(masks)
-    # one '0'/'1' digit string per atom, index i at digit size-1-i
-    cols = [bytearray(b"0" * size) for _ in range(universe_size)]
-    for i, m in enumerate(masks):
-        for p in bit_members(m):
-            cols[p][size - 1 - i] = ord("1")
-    return tuple(int(c, 2) if size else 0 for c in cols)
+    """For every atom p, the bitset over indices i of the masks holding p.
+
+    The masks, last first, are joined as width-byte little-endian records,
+    so atom p's byte in each record is every width-th byte from p >> 3: the
+    slice, with each byte turned into the digit of its bit p & 7, is p's
+    column as a binary numeral whose first digit is the last mask's.
+    """
+    if not masks:
+        return (0,) * universe_size
+    width = (universe_size + 7) // 8
+    blob = b"".join(m.to_bytes(width, "little") for m in reversed(masks))
+    return tuple(
+        int(blob[p >> 3 :: width].translate(_DIGITS[p & 7]), 2) for p in range(universe_size)
+    )
 
 
 class ClosureSpace:

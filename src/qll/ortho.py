@@ -14,6 +14,10 @@ injective atom -> coatom assignments.  Two facts prune it:
 * symmetry: q <= p' iff p <= q', so fixing p' splits every other atom's
   candidate list by whether it contains p.
 
+Every atom's candidate list lives in one int, a bit field per atom, so
+placing a coatom narrows all of them with one AND, and one subtraction
+finds an emptied list (see find_orthocomplementations).
+
 Every completed assignment φ is irreflexive (p ∉ φ(p)), symmetric
 (q ∈ φ(p) iff p ∈ φ(q)) and, being injective with as many coatoms as atoms,
 a bijection onto the coatoms.  On a family closed under intersection such a
@@ -245,6 +249,23 @@ def find_orthocomplementations(
     Hitting the node budget raises BudgetExceeded.  The family must be
     closed under intersection, as for closure; then the search keeps every
     leaf or none, as is_coatomistic says (see the module docstring).
+
+    The atoms are placed in descending degree, each trying its open
+    coatoms in ascending index.  The state packs one field per atom q,
+    k + 1 bits wide for k coatoms: the low k bits mark the coatoms still
+    open to q, and the top bit is a guard, kept out of the state.  Placing
+    coatom ci at atom p is one AND with a word built on first use within
+    the call: field q keeps the coatoms holding p if q lies in coatom ci
+    and those missing p otherwise, every field loses ci, and p's becomes
+    {ci}.  A branch lives while no field is empty: subtracting 1 from each
+    guarded field clears a guard exactly where the field was empty, and no
+    borrow crosses a field.  A placed atom's field never empties: if q
+    holds cj, placing cj narrowed p's options to the coatoms c with
+    q ∈ c iff p ∈ cj, and that is exactly the condition for cj to survive
+    placing c at p.  So the test on every field prunes as one on the
+    unplaced atoms alone, and the tree, its node count (every option tried
+    counts, live or not) and its leaves are those of a per-atom search.  At
+    a leaf each field holds its atom's coatom.
     """
     sp = _require_explicit(space, "find_orthocomplementations")
     n = sp.universe_size
@@ -268,19 +289,31 @@ def find_orthocomplementations(
     degree = [contains[p].bit_count() for p in range(n)]
     order = sorted(range(n), key=lambda p: (-degree[p], p))
 
-    initial = [all_coatoms & ~contains[p] for p in range(n)]  # p not in p'
-    image = [-1] * n
+    w = k + 1  # field width: k coatom bits and the guard
+    low1 = sum(1 << (q * w) for q in range(n))
+    guard = low1 << k
+    # base[p]: every field but p's keeps the coatoms missing atom p;
+    # spread[ci] turns that into the coatoms holding p on the atoms of
+    # coatom ci (symmetry: q ∈ p' iff p ∈ q'), k zero digits after each
+    # atom's digit moving it to its field
+    spacer = "0" * k
+    spread = [int(spacer.join(format(cm, f"0{n}b")), 2) * all_coatoms for cm in cms]
+    base = [(all_coatoms ^ contains[p]) * low1 & ~(all_coatoms << (p * w)) for p in range(n)]
+    # update[p][ci]: the word placing coatom ci at atom p, built on first use
+    update: list[list[int | None]] = [[None] * k for _ in range(n)]
     found: list[OrthoMap] = []
     nodes = 0
 
-    def assign(pos: int, allowed: list[int]) -> None:
+    def assign(pos: int, state: int) -> None:
         nonlocal nodes
         if pos == n:
             if coatomistic:
-                found.append(OrthoMap(sp, tuple(cms[ci] for ci in image)))
+                image = (state >> (q * w) & all_coatoms for q in range(n))
+                found.append(OrthoMap(sp, tuple(cms[c.bit_length() - 1] for c in image)))
             return
         p = order[pos]
-        options = allowed[p]
+        row = update[p]
+        options = state >> (p * w) & all_coatoms
         while options:
             low = options & -options
             options ^= low
@@ -288,29 +321,16 @@ def find_orthocomplementations(
             nodes += 1
             if nodes > budgets.node_cap:
                 raise BudgetExceeded("node_cap", budgets.node_cap)
-            cm = cms[ci]
-            image[p] = ci
-            nxt = list(allowed)
-            nxt[p] = low
-            ok = True
-            for q in range(n):
-                if q == p:
-                    continue
-                # symmetry: q in p' forces p in q' (and conversely), and the
-                # assignment must stay injective
-                if cm >> q & 1:
-                    nxt[q] &= contains[p]
-                else:
-                    nxt[q] &= ~contains[p]
-                nxt[q] &= ~low
-                if nxt[q] == 0 and image[q] < 0:
-                    ok = False
-                    break
-            if ok:
-                assign(pos + 1, nxt)
-            image[p] = -1
+            u = row[ci]
+            if u is None:
+                # spread[ci] is clear at p, as ci is open to p; every field
+                # loses ci, so the assignment stays injective, and p's is {ci}
+                u = row[ci] = (base[p] ^ spread[ci]) & ~(low1 << ci) | 1 << (p * w + ci)
+            t = state & u
+            if ((t | guard) - low1) & guard == guard:
+                assign(pos + 1, t)
 
-    assign(0, initial)
+    assign(0, sum((all_coatoms ^ contains[p]) << (p * w) for p in range(n)))  # p ∉ p'
     found.sort(key=lambda om: om.atom_image)
     return OrthoSearchResult(tuple(found), exhaustive=True, nodes=nodes)
 

@@ -897,3 +897,84 @@ def implicit_inside_top(instance):
 
     top = top_product(instance.left, instance.right).space
     return all(top.contains_mask(m) for m in instance.space.masks)
+
+
+# ---------------------------------------------------------------------------
+# The transposed index and the orthocomplementation search before they were
+# packed.
+
+
+def loop_transpose(masks, universe_size):
+    """For every atom p, the bitset over indices i of the masks holding p,
+    one '0'/'1' digit string per atom filled a member at a time."""
+    size = len(masks)
+    # index i at digit size-1-i
+    cols = [bytearray(b"0" * size) for _ in range(universe_size)]
+    for i, m in enumerate(masks):
+        for p in _members(m):
+            cols[p][size - 1 - i] = ord("1")
+    return tuple(int(c, 2) if size else 0 for c in cols)
+
+
+def loop_orthocomplementations(space, budgets):
+    """find_orthocomplementations with one list entry per atom: placing a
+    coatom loops over every other atom to narrow its options, and an empty
+    list entry kills the branch unless its atom is already placed.  Atom
+    order, option order, node counting and leaves are the library's."""
+    from qll.closure import is_coatomistic
+    from qll.errors import BudgetExceeded
+    from qll.ortho import OrthoMap, OrthoSearchResult
+
+    n = space.universe_size
+    cms = space.coatom_masks()
+    k = len(cms)
+    if n != k:
+        return OrthoSearchResult((), exhaustive=True, nodes=0)
+    coatomistic = is_coatomistic(space)
+    contains = loop_transpose(cms, n)
+    all_coatoms = (1 << k) - 1
+    degree = [contains[p].bit_count() for p in range(n)]
+    order = sorted(range(n), key=lambda p: (-degree[p], p))
+    initial = [all_coatoms & ~contains[p] for p in range(n)]
+    image = [-1] * n
+    found = []
+    nodes = 0
+
+    def assign(pos, allowed):
+        nonlocal nodes
+        if pos == n:
+            if coatomistic:
+                found.append(OrthoMap(space, tuple(cms[ci] for ci in image)))
+            return
+        p = order[pos]
+        options = allowed[p]
+        while options:
+            low = options & -options
+            options ^= low
+            ci = low.bit_length() - 1
+            nodes += 1
+            if nodes > budgets.node_cap:
+                raise BudgetExceeded("node_cap", budgets.node_cap)
+            cm = cms[ci]
+            image[p] = ci
+            nxt = list(allowed)
+            nxt[p] = low
+            ok = True
+            for q in range(n):
+                if q == p:
+                    continue
+                if cm >> q & 1:
+                    nxt[q] &= contains[p]
+                else:
+                    nxt[q] &= ~contains[p]
+                nxt[q] &= ~low
+                if nxt[q] == 0 and image[q] < 0:
+                    ok = False
+                    break
+            if ok:
+                assign(pos + 1, nxt)
+            image[p] = -1
+
+    assign(0, initial)
+    found.sort(key=lambda om: om.atom_image)
+    return OrthoSearchResult(tuple(found), exhaustive=True, nodes=nodes)

@@ -65,6 +65,15 @@ def test_validation_flags_open_intersection():
     assert any(v.kind == "intersection_missing" for v in report.violations)
 
 
+def test_validation_names_the_witness_past_a_machine_word():
+    # atoms 64 and up: each member's atoms are walked through its numeral
+    n = 130
+    a, b = mask_from_members([0, 64, 129]), mask_from_members([64, 100, 129])
+    masks = [0, (1 << n) - 1, a, b, *(1 << p for p in range(n))]
+    [v] = validate_simple_closure_space(n, masks).violations
+    assert (v.kind, v.sets) == ("intersection_missing", ((0, 64, 129), (64, 100, 129), (64, 129)))
+
+
 def test_validation_flags_duplicates_and_universe_mismatch():
     dup = [0, 0, 0b11, 0b1, 0b10]
     assert any(v.kind == "duplicate" for v in validate_simple_closure_space(2, dup).violations)

@@ -1,10 +1,12 @@
 """The closure kernel and the cover relation of ExplicitSpace against the
 linear family scans they replaced (tests/helpers.py), its coatoms against
-the pairwise oracle and the reversed scan they replaced, and
-is_coatomistic against the nested coatom scan, on the L0 and L1 products
-and on two seeded atom relabellings of each, with a sampled spot check of
-closure and covers at L2.  The two doors into the kernel, ExplicitSpace and
-space_from_masks, must build the same space."""
+the pairwise oracle and the reversed scan they replaced, is_coatomistic
+against the nested coatom scan, and the packed orthocomplementation search
+against the per-atom loop it replaced, on the L0 and L1 products and on two
+seeded atom relabellings of each, with a sampled spot check of closure and
+covers at L2.  The transposed index must match the loop it replaced.  The
+two doors into the kernel, ExplicitSpace and space_from_masks, must build
+the same space."""
 
 from __future__ import annotations
 
@@ -19,14 +21,17 @@ from helpers import (
     linear_covering_violation,
     linear_dual_covering_violation,
     linear_upper_covers,
+    loop_orthocomplementations,
+    loop_transpose,
     naive_coatoms,
     nested_is_coatomistic,
     reversed_scan_coatom_masks,
 )
 from qll.atomset import AtomSet, bit_members, mask_from_members
-from qll.budgets import Budgets
+from qll.budgets import DEFAULT_BUDGETS, Budgets
 from qll.closure import (
     ExplicitSpace,
+    _transpose,
     find_covering_violation,
     find_dual_covering_violation,
     is_coatomistic,
@@ -201,6 +206,35 @@ def test_ortho_maps_match_linear_scan(seed, monkeypatch):
         assert verify_orthocomplementation(sp, om).ok, om.to_json()
 
 
+ORTHO_SPACES = {
+    **{i: partial(_space, name, seed) for (name, seed), i in zip(CASES, IDS)},
+    "sep(mo3,mo2)": lambda: sep_product(_base("mo3"), _base("mo2")).space,
+    "top(mo3,mo2)": lambda: materialize_top_product(_base("mo3"), _base("mo2")).space,
+    "star(mo3,mo2)": lambda: star_product(_base("mo3"), _base("mo2")).space,
+    "sep(mo3,mo3)": L2_SPACES["sep(mo3,mo3)"],
+}
+
+
+@pytest.mark.parametrize("name", ORTHO_SPACES)
+def test_packed_ortho_search_matches_loop(name):
+    sp = ORTHO_SPACES[name]()
+    packed = find_orthocomplementations(sp)
+    loop = loop_orthocomplementations(sp, DEFAULT_BUDGETS)
+    assert [m.atom_image for m in packed.maps] == [m.atom_image for m in loop.maps]
+    assert packed.nodes == loop.nodes
+    if name == "sep(mo3,mo3)":
+        assert (len(packed.maps), packed.nodes) == (225, 11500)
+
+
+@pytest.mark.parametrize("search", [find_orthocomplementations, loop_orthocomplementations])
+def test_ortho_node_cap_edge(search):
+    sp = _space("sep(mo2,mo3)", None)
+    assert search(sp, Budgets(node_cap=1758)).nodes == 1758
+    with pytest.raises(BudgetExceeded) as exc:
+        search(sp, Budgets(node_cap=1757))
+    assert exc.value.budget_name == "node_cap"
+
+
 FACTORS = ("mo2", "mo3", "boolean2", "boolean3", "gf3_2", "gf5_2", "gf7_2", "gf3_tensor")
 COATOM_SPACES = {
     **{name: partial(_base, name) for name in FACTORS},
@@ -222,6 +256,29 @@ def test_coatom_masks_match_reversed_scan_beyond_products(name):
     assert sp.coatom_masks() == reversed_scan_coatom_masks(sp)
     if name == "no universe":
         assert sp.coatom_masks() == (0b100, 0b011)
+
+
+def _seeded_masks(n):
+    rng = random.Random(f"transpose:{n}")
+    return tuple(rng.getrandbits(n) if n else 0 for _ in range(40)), n
+
+
+def _masks_of(build):
+    sp = build()
+    return sp.masks, sp.universe_size
+
+
+TRANSPOSE_CASES = {
+    **{f"empty family, {n} atoms": lambda n=n: ((), n) for n in (0, 9)},
+    **{f"{n} atoms": partial(_seeded_masks, n) for n in (0, 1, 7, 8, 9)},
+    **{name: partial(_masks_of, build) for name, build in COATOM_SPACES.items()},
+}
+
+
+@pytest.mark.parametrize("name", TRANSPOSE_CASES)
+def test_transpose_matches_loop(name):
+    masks, n = TRANSPOSE_CASES[name]()
+    assert _transpose(masks, n) == loop_transpose(masks, n)
 
 
 def test_both_doors_build_the_same_space():
