@@ -24,8 +24,8 @@ class Budgets:
     # walk) and the candidate columns tried by the similitude solve.
     node_cap: int = 10**8
     # Subspaces one build may list: the subspaces of a factor model, which
-    # are counted before its flats are listed, and the hyperplane normals
-    # of the tensor model behind down.
+    # are counted before any of its points is listed, and the hyperplane
+    # normals of the tensor model behind down.
     subspace_cap: int = 10**6
 
     def with_overrides(self, **kwargs: int) -> "Budgets":

@@ -536,24 +536,23 @@ def is_coatomistic(space: ClosureSpace) -> bool:
     closure kernel's first-superset lookup cannot answer this; the test keeps
     its own coatom index.  cext[q] is a bitset over coatom indices marking
     the coatoms that contain atom q, so the AND of cext[p] over the atoms of
-    m marks the coatoms above m.  Their intersection is m iff every atom
-    outside m is missing from one of them.
+    m marks the coatoms above m.  They are met one at a time until their
+    meet is m; a member other than the universe that is never reached is
+    not an intersection of coatoms.
     """
     sp = _require_explicit(space, "is_coatomistic")
-    cms = sp.coatom_masks()
+    cms, full = sp.coatom_masks(), sp.full_mask()
     cext = _transpose(cms, sp.universe_size)
-    every = (1 << len(cms)) - 1
-    missing = [every & ~e for e in cext]  # coatoms without atom q
-    skip = {*cms, sp.full_mask()}
     for m in sp.masks:
-        if m in skip:
-            continue
-        idx = every
+        idx, meet = (1 << len(cms)) - 1, full
         for p in bit_members(m):
             idx &= cext[p]
-        for q, e in enumerate(missing):
-            if not e & idx and not m >> q & 1:
-                return False
+        while meet != m and idx:
+            low = idx & -idx
+            meet &= cms[low.bit_length() - 1]
+            idx ^= low
+        if meet != m:
+            return False
     return True
 
 

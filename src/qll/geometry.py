@@ -223,17 +223,19 @@ def build_projective_space(
 ) -> tuple[ExplicitSpace, OrthogonalityRelation | None]:
     """Closure space of subspace point-sets plus the form's atom orthogonality.
 
-    The point sets of the subspaces are the flats of the rank-n matroid on
-    the points; _flats lists them from its hyperplanes u^perp, one per point
-    u, after count_subspaces is checked against subspace_cap.  The atoms
-    orthogonal to u under the form are (F u)^perp.  Both are read off the
-    perp table.
+    count_subspaces is checked against subspace_cap before any point is
+    listed.  The point sets of the subspaces are the flats of the rank-n
+    matroid on the points; _flats lists them from its hyperplanes u^perp,
+    one per point u.  The atoms orthogonal to u under the form are
+    (F u)^perp.  Both are read off the perp table.
 
     Atom orthogonality must be irreflexive, so an isotropic point (form(p,p)=0,
     as happens for every identity-form model over GF(2) in dimension >= 2) is
     an error unless require_anisotropic=False, in which case no relation is
     returned and only form-free structure is available.
     """
+    if count_subspaces(model.q, model.n) > budgets.subspace_cap:
+        raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
     q, atoms, perp = model.q, model.atom_table, model._perp
     rows = tuple(perp[mat_vec(model.form, u, q)] for u in atoms)
     isotropic = [u for i, u in enumerate(atoms) if rows[i] >> i & 1]
@@ -243,8 +245,6 @@ def build_projective_space(
             "atom orthogonality cannot be irreflexive"
         )
     relation = None if isotropic else OrthogonalityRelation(len(atoms), rows)
-    if count_subspaces(q, model.n) > budgets.subspace_cap:
-        raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
     masks = _flats([perp[u] for u in atoms], len(atoms), model.n, budgets)
     labels = ["(" + ",".join(map(str, v)) + ")" for v in atoms]
     return space_from_masks(len(atoms), masks, labels, budgets), relation
@@ -301,28 +301,27 @@ def similitude_group(
     tuple.  Each such g is invertible: det(g)² det F = cⁿ det F, and create
     rejects a singular F.
 
-    g is solved for one column at a time.  Entry (i, j) of gᵀFg is
-    x_iᵀ F x_j for the columns x_i, so column j must have Q(x_j) = x_jᵀ F x_j
-    equal to c·F[j][j] and x_iᵀ F x_j = c·F[i][j] for every earlier column i.
-    Once c is known, column j is drawn from the nonzero vectors with that
-    Q and kept if it passes those tests.  Before that, column j is drawn
-    from all nonzero vectors, and c is read off the first nonzero entry
-    of F met column by column, on or above the diagonal: F[0][0] unless
-    it is 0, a cross term for a zero diagonal.  g and λg act alike, so
-    column 0 runs over the normalized points only and each projective
-    class is met once.  Every candidate column tried counts against
-    node_cap.
+    One search per multiplier c in 1..q-1 solves for g a column at a time.
+    Entry (i, j) of gᵀFg is x_iᵀ F x_j for the columns x_i, so column j is
+    drawn from the nonzero vectors with Q(x_j) = x_jᵀ F x_j equal to
+    c·F[j][j] and kept if x_iᵀ F x_j = c·F[i][j] for every earlier column
+    i.  g and λg act alike, so column 0 runs over the normalized points
+    only and each projective class is met once, in the search for the
+    multiplier of its normalized representative.  Every candidate column
+    tried counts against node_cap.
     """
     q, n, form, atoms = model.q, model.n, model.form, model.atom_table
     nonzero = tuple(product(range(q), repeat=n))[1:]
-    # F·x for every x, and the nonzero vectors bucketed by Q(x) = xᵀFx
+    # F·x for every x, and column j's candidates bucketed by Q(x) = xᵀFx
     f_of = {x: tuple(sum(map(mul, row, x)) % q for row in form) for x in nonzero}
-    by_q: dict[int, list[Vec]] = {}
-    for x in nonzero:
-        by_q.setdefault(sum(map(mul, f_of[x], x)) % q, []).append(x)
-    # column j's entries of F on or above the diagonal, and the first nonzero one
-    upper = [tuple(form[i][j] for i in range(j + 1)) for j in range(n)]
-    lead = [next((i for i, f in enumerate(col) if f), None) for col in upper]
+
+    def by_q(vectors: Sequence[Vec]) -> dict[int, list[Vec]]:
+        out: dict[int, list[Vec]] = {}
+        for x in vectors:
+            out.setdefault(sum(map(mul, f_of[x], x)) % q, []).append(x)
+        return out
+
+    cands_of = [by_q(atoms)] + [by_q(nonzero)] * (n - 1)
     # every nonzero vector to the index of its point
     point_of = {
         tuple(s * x % q for x in p): i
@@ -332,7 +331,7 @@ def similitude_group(
     perms = set()
     nodes = 0
 
-    def extend(cols: tuple[Vec, ...], c: int | None) -> None:
+    def extend(cols: tuple[Vec, ...], c: int) -> None:
         nonlocal nodes
         j = len(cols)
         if j == n:
@@ -344,37 +343,21 @@ def similitude_group(
                 )
             )
             return
-        fcols = [f_of[x] for x in cols]
-        col = upper[j]
-        if c is None:
-            cands = atoms if j == 0 else nonzero
-        else:
-            cands = by_q.get(c * col[j] % q, ())
+        cands = cands_of[j].get(c * form[j][j] % q, ())
         nodes += len(cands)
         if nodes > budgets.node_cap:
             raise BudgetExceeded("node_cap", budgets.node_cap)
-        if c is not None:
-            want = [c * f % q for f in col]
-            for y in cands:
-                for fx, w in zip(fcols, want):
-                    if sum(map(mul, fx, y)) % q != w:
-                        break
-                else:
-                    extend(cols + (y,), c)
-            return
-        k = lead[j]
+        fcols = [f_of[x] for x in cols]
+        want = [c * form[i][j] % q for i in range(j)]
         for y in cands:
-            vals = [sum(map(mul, fx, y)) % q for fx in fcols]
-            vals.append(sum(map(mul, f_of[y], y)) % q)
-            if k is None:
-                if not any(vals):
-                    extend(cols + (y,), None)
-                continue
-            cy = vals[k] * pow(col[k], q - 2, q) % q
-            if cy and all(v == cy * f % q for v, f in zip(vals, col)):
-                extend(cols + (y,), cy)
+            for fx, w in zip(fcols, want):
+                if sum(map(mul, fx, y)) % q != w:
+                    break
+            else:
+                extend(cols + (y,), c)
 
-    extend((), None)
+    for c in range(1, q):
+        extend((), c)
     return [AtomPermutation(img) for img in sorted(perms)]
 
 

@@ -177,15 +177,11 @@ def rref_matrices(q: int, n: int, dim: int) -> "list[Mat]":
 
 
 def count_subspaces(q: int, n: int) -> int:
-    """Total number of subspaces of GF(q)^n (all dimensions)."""
-    total = 0
-    for dim in range(n + 1):
-        for pivots in combinations(range(n), dim):
-            nfree = sum(
-                1
-                for r in range(dim)
-                for c in range(n)
-                if c > pivots[r] and c not in pivots
-            )
-            total += q**nfree
+    """Total number of subspaces of GF(q)^n (all dimensions): the sum of
+    the Gaussian binomials [n k]_q over k, each read off the one before as
+    [n k]_q = [n k-1]_q · (q^(n-k+1) - 1) / (q^k - 1), an exact division."""
+    total = term = 1
+    for k in range(1, n + 1):
+        term = term * (q ** (n - k + 1) - 1) // (q**k - 1)
+        total += term
     return total

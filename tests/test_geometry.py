@@ -186,6 +186,18 @@ def test_isotropic_error_names_first_isotropic_point(name, point):
     )
 
 
+def test_subspace_cap_is_checked_before_any_point_is_listed():
+    # GF(3)^8 has 3,280 points and 127,902,864 > 10^6 subspaces; its identity
+    # form is isotropic too, and the budget is what stops the build
+    model = SubspaceModel.create(3, 8)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        build_projective_space(model)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.budget_name == "subspace_cap"
+    assert "atom_table" not in model.__dict__ and "_perp" not in model.__dict__
+
+
 @pytest.mark.parametrize("q,form", [(59, None), (5, ((1, 0), (0, 2)))])
 def test_factor_build_reads_only_the_perp_rows_it_uses(q, form):
     # one row per point u and one per F u, out of q^2 vectors
@@ -239,7 +251,7 @@ SIMILITUDE_MODELS = {
     "gf7_2": (7, 2, None),
     "gf11_2": (11, 2, None),
     "gf3_3": (3, 3, None),
-    # a zero diagonal: c is read off the cross term
+    # a zero diagonal: column 0 runs over the isotropic points
     "gf3_2-hyperbolic": (3, 2, ((0, 1), (1, 0))),
     "gf5_2-hyperbolic": (5, 2, ((0, 1), (1, 0))),
     "gf5_1": (5, 1, None),
@@ -262,6 +274,22 @@ def test_similitude_node_cap_edge():
     assert len(similitude_group(model, passing)) == 16
     with pytest.raises(BudgetExceeded) as exc:
         similitude_group(model, passing.with_overrides(node_cap=71))
+    assert exc.value.budget_name == "node_cap"
+
+
+@pytest.mark.parametrize(
+    "name,nodes",
+    # the 2 isotropic points of column 0, then the 8 nonzero vectors with
+    # Q = 0 for column 1, in each of the 4 multiplier searches
+    [("gf5_2-hyperbolic", 4 * (2 + 2 * 8)), ("gf3_3-zero-lead", 288)],
+)
+def test_similitude_node_cap_edge_on_a_zero_lead(name, nodes):
+    model = SubspaceModel.create(*SIMILITUDE_MODELS[name])
+    passing = DEFAULT_BUDGETS.with_overrides(node_cap=nodes)
+    sims = similitude_group(model, passing)
+    assert [u.image for u in sims] == rank_filtered_similitude_group(model)
+    with pytest.raises(BudgetExceeded) as exc:
+        similitude_group(model, passing.with_overrides(node_cap=nodes - 1))
     assert exc.value.budget_name == "node_cap"
 
 

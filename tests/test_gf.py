@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from helpers import kernel_basis, naive_span, normalize_and_sort_projective_points
@@ -115,6 +117,15 @@ def test_subspace_enumeration_counts():
     assert count_subspaces(3, 4) == sum(
         len(rref_matrices(3, 4, d)) for d in range(5)
     ) == 212
+    # the closed form against every canonical basis listed
+    for q in (2, 3, 5, 7):
+        for n in range(6):
+            listed = sum(len(rref_matrices(q, n, d)) for d in range(n + 1))
+            assert count_subspaces(q, n) == listed, (q, n)
+    assert count_subspaces(7, 4) == 3652
+    start = time.perf_counter()
+    count_subspaces(3, 40)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_rref_matrices_are_distinct_row_spaces():
