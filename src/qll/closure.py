@@ -87,17 +87,9 @@ def _validation_report(sp: ExplicitSpace, masks: list[int]) -> ValidationReport:
         violations.append(Violation("missing_empty", ()))
     if not has(sp.full_mask()):
         violations.append(Violation("missing_universe", ()))
-    members, extent = sp.masks, sp.atom_extents()
+    members, extent, extent_of = sp.masks, sp.atom_extents(), sp.extent_of
     singletons = {m.bit_length() - 1 for m in members if m.bit_count() == 1}
     violations += [Violation("missing_singleton", ((i,),)) for i in range(n) if i not in singletons]
-    everything = (1 << len(members)) - 1
-
-    def extent_of(m: int) -> int:  # sp.extent_of, linear in n
-        idx = everything
-        for p in _atoms_of(m):
-            idx &= extent[p]
-        return idx
-
     sizes = [extent_of(m).bit_count() for m in members]
     for m in members:
         e = extent_of(m)
@@ -126,6 +118,11 @@ def _atoms_of(mask: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 # spaces
 
+
+# extent_of walks a mask's atoms with bit_members up to this bit length and
+# with _atoms_of beyond it, where bit_members' per-atom clear of the whole
+# int makes it quadratic
+_NARROW = 1024
 
 # _DIGITS[k] maps a byte to b"1" when its bit k is set and to b"0" otherwise
 _DIGITS = tuple(bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8))
@@ -191,10 +188,11 @@ class ExplicitSpace(ClosureSpace):
     canonical order, and the cover relation and the coatoms are built on
     it, so all three assume the family is closed under intersection.
     Neither door checks that: validate_simple_closure_space takes about
-    18 ms on a down(gf5_2,gf5_2) family and 3.5 ms on a sep(mo2,mo3) one
-    (Python 3.11, 2 vCPUs), over half of the 0.07 s deciders-l1 benchmark
-    pass, which builds two of the first and one of the second.  The AtomSet
-    view (family) is built on request.
+    19 ms on a down(gf5_2,gf5_2) family and 4 ms on a sep(mo2,mo3) one
+    (Python 3.11, 2 vCPUs), so checking the two of the first and one of the
+    second that a deciders-l1 benchmark pass builds would cost about as much
+    as the whole pass, about 0.03 s.  The AtomSet view (family) is built on
+    request.
     """
 
     def __init__(
@@ -272,10 +270,15 @@ class ExplicitSpace(ClosureSpace):
 
     def extent_of(self, mask: int) -> int:
         """Bitset over family indices of the closed supersets of mask: the
-        AND of extent[p] over the atoms p of mask."""
+        AND of extent[p] over the atoms p of mask, every index for the empty
+        mask.  A mask wider than _NARROW bits has its atoms read with
+        _atoms_of, which is linear in its bit length."""
         extent = self._extent or self.atom_extents()
-        idx = (1 << len(self._masks)) - 1
-        for p in bit_members(mask):
+        atoms = bit_members(mask) if mask.bit_length() <= _NARROW else tuple(_atoms_of(mask))
+        if not atoms:
+            return (1 << len(self._masks)) - 1
+        idx = extent[atoms[0]]
+        for p in atoms[1:]:
             idx &= extent[p]
         return idx
 
@@ -290,10 +293,14 @@ class ExplicitSpace(ClosureSpace):
 
         Every closed set strictly above lo contains cl(lo ∪ {p}) for some
         atom p outside lo, so the upper covers are the minimal sets among
-        those closures.  Each is one AND of extent_of(lo) with extent[p] and
-        a lowest-bit lookup, and the family indices found, in ascending
-        order, list the candidates in canonical order.  A smaller candidate
-        comes first, so a candidate is minimal iff it contains no cover found
+        those closures.  cl(lo ∪ {p}) is the first member of the up-set
+        E = extent_of(lo) that holds p, and two ways list the family indices
+        of these candidates, ascending: a walk over E (_walk_candidates),
+        and one lookup per atom (_lookup_candidates).  The walk may read all
+        of E, so it is taken unless E holds more than twice as many members
+        as there are atoms outside lo.  len(masks) stands for the universe
+        when a candidate has no closed superset.  A smaller candidate comes
+        first, so a candidate is minimal iff it contains no cover found
         before it.  lo ⋖ hi iff hi is in the result.
 
         This assumes the family is closed under intersection, as closure
@@ -303,20 +310,16 @@ class ExplicitSpace(ClosureSpace):
         """
         ups = self._upper_covers.get(lo)
         if ups is None:
-            extent = self._extent or self.atom_extents()
-            size = len(self._masks)
+            masks, full, size = self._masks, self.full_mask(), len(self._masks)
             above = self.extent_of(lo)
-            # family index of each candidate; `size` stands for the universe
-            # when a candidate has no closed superset
-            firsts = set()
-            for p in range(self.universe_size):
-                if not lo >> p & 1:
-                    idx = above & extent[p]
-                    firsts.add((idx & -idx).bit_length() - 1 if idx else size)
+            if above.bit_count() > 2 * (self.universe_size - lo.bit_count()):
+                candidates = self._lookup_candidates(lo, above)
+            else:
+                candidates = self._walk_candidates(lo, above)
             covers: list[int] = []
             reached = lo  # union of the covers found so far
-            for i in sorted(firsts):
-                c = self._masks[i] if i < size else self.full_mask()
+            for i in candidates:
+                c = masks[i] if i < size else full
                 if c & reached == lo:
                     covers.append(c)
                     reached |= c
@@ -325,6 +328,40 @@ class ExplicitSpace(ClosureSpace):
             ups = tuple(covers)
             self._upper_covers[lo] = ups
         return ups
+
+    def _walk_candidates(self, lo: int, above: int) -> list[int]:
+        """The indices of the members of the up-set above, walked in
+        canonical order, that hold an atom no member walked before them holds
+        (lo itself holds none), then len(masks) if some atom is in none.
+
+        The walk stops once the members walked hold every atom.  Where
+        covering holds at lo, as in a geometric lattice, the covers of lo
+        split the atoms outside it into blocks (Oxley 2011, §1.4), and no
+        member before a cover holds one of its atoms, so the walk stops at
+        the last cover."""
+        masks, full = self._masks, self.full_mask()
+        found, seen = [], lo  # seen: the atoms of lo and of every member walked
+        while above and seen != full:
+            low = above & -above
+            above ^= low
+            i = low.bit_length() - 1
+            m = masks[i]
+            if m & ~seen:
+                found.append(i)
+                seen |= m
+        if seen != full:
+            found.append(len(masks))
+        return found
+
+    def _lookup_candidates(self, lo: int, above: int) -> list[int]:
+        """For each atom p outside lo, the lowest index in above & extent[p]
+        (len(masks) if there is none), each index once, ascending."""
+        extent, size = self._extent, len(self._masks)
+        return sorted({
+            (idx & -idx).bit_length() - 1 if (idx := above & extent[p]) else size
+            for p in range(self.universe_size)
+            if not lo >> p & 1
+        })
 
     def coatom_masks(self) -> tuple[int, ...]:
         """Maximal proper closed sets in canonical order, cached.

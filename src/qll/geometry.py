@@ -147,13 +147,18 @@ class Subspace:
         return in_row_space(self.basis, v, self.model.q)
 
 
+def _check_subspace_cap(model: SubspaceModel, budgets: Budgets) -> None:
+    """Refuse a model with more than subspace_cap subspaces before any of
+    its points or vectors is listed."""
+    if count_subspaces(model.q, model.n) > budgets.subspace_cap:
+        raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
+
+
 def enumerate_subspaces(
     model: SubspaceModel, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list[Subspace]:
     """All subspaces of the model, every dimension, canonical order."""
-    total = count_subspaces(model.q, model.n)
-    if total > budgets.subspace_cap:
-        raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
+    _check_subspace_cap(model, budgets)
     out = []
     for dim in range(model.n + 1):
         for basis in rref_matrices(model.q, model.n, dim):
@@ -234,8 +239,7 @@ def build_projective_space(
     an error unless require_anisotropic=False, in which case no relation is
     returned and only form-free structure is available.
     """
-    if count_subspaces(model.q, model.n) > budgets.subspace_cap:
-        raise BudgetExceeded("subspace_cap", budgets.subspace_cap)
+    _check_subspace_cap(model, budgets)
     q, atoms, perp = model.q, model.atom_table, model._perp
     rows = tuple(perp[mat_vec(model.form, u, q)] for u in atoms)
     isotropic = [u for i, u in enumerate(atoms) if rows[i] >> i & 1]
@@ -308,8 +312,11 @@ def similitude_group(
     i.  g and λg act alike, so column 0 runs over the normalized points
     only and each projective class is met once, in the search for the
     multiplier of its normalized representative.  Every candidate column
-    tried counts against node_cap.
+    tried counts against node_cap.  The tables the search reads list all
+    qⁿ vectors, so, as in build_projective_space, count_subspaces is checked
+    against subspace_cap before any vector is listed.
     """
+    _check_subspace_cap(model, budgets)
     q, n, form, atoms = model.q, model.n, model.form, model.atom_table
     nonzero = tuple(product(range(q), repeat=n))[1:]
     # F·x for every x, and column j's candidates bucketed by Q(x) = xᵀFx

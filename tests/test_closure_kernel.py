@@ -11,6 +11,7 @@ the same space."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import cache, partial
 
 import pytest
@@ -127,6 +128,9 @@ L2_SPACES = {
         resolve_base("gf7_2").model, resolve_base("gf7_2").model
     ).space,
     "sep(mo3,mo3)": lambda: sep_product(_base("mo3"), _base("mo3")).space,
+    # their small members' up-sets are long, so they take the per-atom lookups
+    "top(mo3,mo3)": lambda: materialize_top_product(_base("mo3"), _base("mo3")).space,
+    "star(mo3,mo3)": lambda: star_product(_base("mo3"), _base("mo3")).space,
 }
 
 
@@ -141,6 +145,44 @@ def test_kernel_matches_linear_scan_on_l2_sample(name):
         assert sp.upper_cover_masks(lo) == linear_upper_covers(masks, lo), lo
         probe = lo | 1 << rng.randrange(n)
         assert sp.closure_mask(probe) == linear_closure_mask(masks, full, probe), probe
+
+
+def test_covering_at_l2():
+    # the linear oracle is too slow here, so the witness is pinned
+    assert find_covering_violation(L2_SPACES["down(gf7_2,gf7_2)"]()) is None
+    got = find_covering_violation(L2_SPACES["top(mo3,mo3)"]()).to_json()
+    assert {k: got[k] for k in ("a", "atom", "between")} == {
+        "a": [0, 7, 14],
+        "atom": 1,
+        "between": [0, 7, 14, 21],
+    }
+    assert got["join"] == list(range(36))
+
+
+def test_both_cover_candidate_ways_match_linear_scan(monkeypatch):
+    """top(mo2,mo3): its small members' up-sets are long against the atoms
+    outside them and take the per-atom lookups; its large members take the
+    walk.  Each member takes the way the up-set's size names, and both
+    ways give the linear scan's covers."""
+    sp = _space("top(mo2,mo3)", None)
+    n, taken = sp.universe_size, {}
+    for way in ("_walk_candidates", "_lookup_candidates"):
+        run = getattr(ExplicitSpace, way)
+
+        def spy(self, lo, above, way=way, run=run):
+            taken[lo] = way
+            return run(self, lo, above)
+
+        monkeypatch.setattr(ExplicitSpace, way, spy)
+    sp._upper_covers.clear()
+    for lo in sp.masks:
+        assert sp.upper_cover_masks(lo) == linear_upper_covers(sp.masks, lo), lo
+        long_up_set = sp.extent_of(lo).bit_count() > 2 * (n - lo.bit_count())
+        assert taken[lo] == ("_lookup_candidates" if long_up_set else "_walk_candidates")
+    assert sorted(Counter(taken.values()).items()) == [
+        ("_lookup_candidates", 26),
+        ("_walk_candidates", 1054),
+    ]
 
 
 NOT_COATOMISTIC = {
@@ -256,6 +298,24 @@ def test_coatom_masks_match_reversed_scan_beyond_products(name):
     assert sp.coatom_masks() == reversed_scan_coatom_masks(sp)
     if name == "no universe":
         assert sp.coatom_masks() == (0b100, 0b011)
+
+
+NO_UNIVERSE = {
+    "no universe": COATOM_SPACES["no universe"],
+    # {0} has 16 supersets against 5 atoms outside it, so it takes the
+    # per-atom lookups, and no member holds {0, 5}
+    "subsets of 0..4, and {5}": lambda: space_from_masks(6, [*range(32), 32]),
+}
+
+
+@pytest.mark.parametrize("name", NO_UNIVERSE)
+def test_cover_relation_without_the_universe(name):
+    """A closure with no closed superset is the universe, as in closure_mask,
+    so the covers are those of the family with the universe added."""
+    sp = NO_UNIVERSE[name]()
+    with_universe = sp.masks + (sp.full_mask(),)
+    for lo in sp.masks:
+        assert sp.upper_cover_masks(lo) == linear_upper_covers(with_universe, lo), lo
 
 
 def _seeded_masks(n):

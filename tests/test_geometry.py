@@ -198,6 +198,18 @@ def test_subspace_cap_is_checked_before_any_point_is_listed():
     assert "atom_table" not in model.__dict__ and "_perp" not in model.__dict__
 
 
+def test_similitude_group_checks_subspace_cap_before_listing_vectors():
+    # its tables list all 3^8 vectors, and GF(3)^8 has 127,902,864 > 10^6
+    # subspaces
+    model = SubspaceModel.create(3, 8)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        similitude_group(model)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.budget_name == "subspace_cap"
+    assert "atom_table" not in model.__dict__
+
+
 @pytest.mark.parametrize("q,form", [(59, None), (5, ((1, 0), (0, 2)))])
 def test_factor_build_reads_only_the_perp_rows_it_uses(q, form):
     # one row per point u and one per F u, out of q^2 vectors
