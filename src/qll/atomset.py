@@ -21,8 +21,28 @@ from .errors import InputError
 __all__ = ["AtomSet"]
 
 
+# Clearing a mask's lowest bit reads the whole int, so clearing all k bits
+# of a w-bit mask takes time k·w, while reading its binary numeral once
+# takes time w.  Timed on masks of 36 to 16,384 bits (Python 3.11.7, one
+# CPU), clearing bits was faster up to 20 atoms at every width, and the
+# numeral was faster from 28 atoms on at 4,096 bits and up and from 40 on
+# at 1,024 bits; below 1,024 bits the two were within 12% of each other
+# from 24 atoms to the full mask.
+_FEW = 32
+
+
 def bit_members(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of mask, ascending."""
+    """Indices of the set bits of mask, ascending.  A mask of more than
+    _FEW atoms is read off its binary numeral, in time linear in its bit
+    length."""
+    if mask.bit_count() > _FEW:
+        digits = bin(mask)[:1:-1]  # digits[p] is bit p
+        found = []
+        p = digits.find("1")
+        while p >= 0:
+            found.append(p)
+            p = digits.find("1", p + 1)
+        return tuple(found)
     out = []
     m = mask
     while m:

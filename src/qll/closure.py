@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .atomset import AtomSet, bit_members, canonical_sorted, json_int, members_mask
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -81,7 +81,7 @@ def _validation_report(sp: ExplicitSpace, masks: list[int]) -> ValidationReport:
     """
     n, has = sp.universe_size, sp.contains_mask
     violations = [
-        Violation("duplicate", (tuple(_atoms_of(m)),)) for m, k in Counter(masks).items() if k > 1
+        Violation("duplicate", (bit_members(m),)) for m, k in Counter(masks).items() if k > 1
     ]
     if not has(0):
         violations.append(Violation("missing_empty", ()))
@@ -93,36 +93,21 @@ def _validation_report(sp: ExplicitSpace, masks: list[int]) -> ValidationReport:
     sizes = [extent_of(m).bit_count() for m in members]
     for m in members:
         e = extent_of(m)
-        for p in _atoms_of(sp.full_mask() & ~m):
+        for p in bit_members(sp.full_mask() & ~m):
             idx = e & extent[p]
             c = (idx & -idx).bit_length() - 1
             if idx and idx.bit_count() != sizes[c]:
                 rest = idx & ~extent_of(members[c])
                 a, b = members[c], members[(rest & -rest).bit_length() - 1]
-                triple = (tuple(_atoms_of(a)), tuple(_atoms_of(b)), tuple(_atoms_of(a & b)))
+                triple = (bit_members(a), bit_members(b), bit_members(a & b))
                 violations.append(Violation("intersection_missing", triple))
                 return ValidationReport(False, n, tuple(violations))
     return ValidationReport(not violations, n, tuple(violations))
 
 
-def _atoms_of(mask: int) -> Iterator[int]:
-    """The atoms of mask, ascending, in time linear in its bit length, where
-    bit_members clears one bit of the whole int per atom."""
-    digits = bin(mask)[:1:-1]  # digits[p] is bit p
-    p = digits.find("1")
-    while p >= 0:
-        yield p
-        p = digits.find("1", p + 1)
-
-
 # ---------------------------------------------------------------------------
 # spaces
 
-
-# extent_of walks a mask's atoms with bit_members up to this bit length and
-# with _atoms_of beyond it, where bit_members' per-atom clear of the whole
-# int makes it quadratic
-_NARROW = 1024
 
 # _DIGITS[k] maps a byte to b"1" when its bit k is set and to b"0" otherwise
 _DIGITS = tuple(bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8))
@@ -271,10 +256,9 @@ class ExplicitSpace(ClosureSpace):
     def extent_of(self, mask: int) -> int:
         """Bitset over family indices of the closed supersets of mask: the
         AND of extent[p] over the atoms p of mask, every index for the empty
-        mask.  A mask wider than _NARROW bits has its atoms read with
-        _atoms_of, which is linear in its bit length."""
+        mask."""
         extent = self._extent or self.atom_extents()
-        atoms = bit_members(mask) if mask.bit_length() <= _NARROW else tuple(_atoms_of(mask))
+        atoms = bit_members(mask)
         if not atoms:
             return (1 << len(self._masks)) - 1
         idx = extent[atoms[0]]
@@ -298,10 +282,14 @@ class ExplicitSpace(ClosureSpace):
         of these candidates, ascending: a walk over E (_walk_candidates),
         and one lookup per atom (_lookup_candidates).  The walk may read all
         of E, so it is taken unless E holds more than twice as many members
-        as there are atoms outside lo.  len(masks) stands for the universe
-        when a candidate has no closed superset.  A smaller candidate comes
-        first, so a candidate is minimal iff it contains no cover found
-        before it.  lo ⋖ hi iff hi is in the result.
+        as there are atoms outside lo.  Timed on covering (Python 3.11.7),
+        the walk alone was 7.7 and 4.3 times slower on top(mo3,mo3) and
+        star(mo3,mo3) and 1.3 times on top(mo2,mo3); factors from 1.5 to 3
+        were within 2% of the best on every L0–L2 space, 1 lost up to 21%
+        and 4 lost 2.8 times on star(mo3,mo3).  len(masks) stands for the
+        universe when a candidate has no closed superset.  A smaller
+        candidate comes first, so a candidate is minimal iff it contains no
+        cover found before it.  lo ⋖ hi iff hi is in the result.
 
         This assumes the family is closed under intersection, as closure
         does; every product and space_from_json guarantee that.  Two distinct

@@ -18,8 +18,11 @@ from helpers import _canonical, _lex
 
 
 def test_bit_members_roundtrip():
-    for mask in (0, 1, 0b1010, 0b11111, 1 << 30):
-        assert mask_from_members(bit_members(mask)) == mask
+    # a mask of more than 32 atoms is read off its numeral
+    dense = ((1 << 33) - 1, (1 << 5000) - 1, sum(1 << p for p in range(0, 5000, 97)))
+    for mask in (0, 1, 0b1010, 0b11111, 1 << 30, (1 << 32) - 1, *dense):
+        atoms = bit_members(mask)
+        assert list(atoms) == sorted(set(atoms)) and mask_from_members(atoms) == mask
 
 
 def test_members_sorted():

@@ -11,7 +11,6 @@ the same space."""
 from __future__ import annotations
 
 import random
-from collections import Counter
 from functools import cache, partial
 
 import pytest
@@ -162,8 +161,8 @@ def test_covering_at_l2():
 def test_both_cover_candidate_ways_match_linear_scan(monkeypatch):
     """top(mo2,mo3): its small members' up-sets are long against the atoms
     outside them and take the per-atom lookups; its large members take the
-    walk.  Each member takes the way the up-set's size names, and both
-    ways give the linear scan's covers."""
+    walk.  Each member takes the way the up-set's size names, both ways
+    run, and both give the linear scan's covers."""
     sp = _space("top(mo2,mo3)", None)
     n, taken = sp.universe_size, {}
     for way in ("_walk_candidates", "_lookup_candidates"):
@@ -179,10 +178,7 @@ def test_both_cover_candidate_ways_match_linear_scan(monkeypatch):
         assert sp.upper_cover_masks(lo) == linear_upper_covers(sp.masks, lo), lo
         long_up_set = sp.extent_of(lo).bit_count() > 2 * (n - lo.bit_count())
         assert taken[lo] == ("_lookup_candidates" if long_up_set else "_walk_candidates")
-    assert sorted(Counter(taken.values()).items()) == [
-        ("_lookup_candidates", 26),
-        ("_walk_candidates", 1054),
-    ]
+    assert set(taken.values()) == {"_lookup_candidates", "_walk_candidates"}
 
 
 NOT_COATOMISTIC = {
