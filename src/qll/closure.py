@@ -190,26 +190,20 @@ class ExplicitSpace(ClosureSpace):
         sizes = {s.universe_size for s in sets}
         if len(sizes) != 1:
             raise UniverseMismatch(f"expected one universe size, got {sorted(sizes)}")
-        self._set_any_masks(sizes.pop(), (s.mask for s in sets), atom_labels, budgets)
+        n = sizes.pop()
+        self._set_masks(n, canonical_sorted({s.mask for s in sets}, n), atom_labels, budgets)
 
-    def _set_any_masks(self, n: int, masks: Iterable[int], atom_labels, budgets) -> None:
-        """The public doors' way in: masks in any order, repeats allowed."""
-        mask_set = frozenset(masks)
-        self._set_masks(n, canonical_sorted(mask_set, n), mask_set, atom_labels, budgets)
-
-    def _set_masks(
-        self, n: int, masks: list[int], mask_set: frozenset[int], atom_labels, budgets
-    ) -> None:
-        """The construction body behind every door: masks lists mask_set
-        in canonical order."""
-        if len(mask_set) > budgets.family_cap:
+    def _set_masks(self, n: int, ordered: list[int], atom_labels, budgets) -> None:
+        """The construction body behind every door: ordered lists distinct
+        masks in canonical order."""
+        if len(ordered) > budgets.family_cap:
             raise BudgetExceeded("family_cap", budgets.family_cap)
         self.universe_size = n
         self.atom_labels = tuple(atom_labels) if atom_labels is not None else None
         if self.atom_labels is not None and len(self.atom_labels) != n:
             raise InputError("atom_labels length does not match universe size")
-        self._mask_set = mask_set
-        self._masks = tuple(masks)
+        self._masks = tuple(ordered)
+        self._mask_set = frozenset(self._masks)
         self._family = None  # the family view, built on request
         self._coatom_masks: tuple[int, ...] | None = None
         # closure kernel, built on first use (see closure_mask)
@@ -289,7 +283,9 @@ class ExplicitSpace(ClosureSpace):
         and 4 lost 2.8 times on star(mo3,mo3).  len(masks) stands for the
         universe when a candidate has no closed superset.  A smaller
         candidate comes first, so a candidate is minimal iff it contains no
-        cover found before it.  lo ⋖ hi iff hi is in the result.
+        cover found before it.  lo ⋖ hi iff hi is in the result.  For a
+        closed hi above lo that does not cover it, the first cover inside hi
+        is the first closed set strictly between the two (see _cover_inside).
 
         This assumes the family is closed under intersection, as closure
         does; every product and space_from_json guarantee that.  Two distinct
@@ -435,7 +431,7 @@ def space_from_masks(
     checked, since the builders' families are closed by construction.
     """
     sp = ExplicitSpace.__new__(ExplicitSpace)
-    sp._set_any_masks(universe_size, masks, atom_labels, budgets)
+    sp._set_masks(universe_size, canonical_sorted(set(masks), universe_size), atom_labels, budgets)
     return sp
 
 
@@ -450,19 +446,20 @@ def _space_from_lex_masks(
     their sets that way.  Canonical order is then one stable sort on
     cardinality; no per-mask key is computed.
     """
-    ordered = sorted(masks, key=int.bit_count)
     sp = ExplicitSpace.__new__(ExplicitSpace)
-    sp._set_masks(universe_size, ordered, frozenset(ordered), atom_labels, budgets)
+    sp._set_masks(universe_size, sorted(masks, key=int.bit_count), atom_labels, budgets)
     return sp
 
 
-def powerset_space(universe_size: int) -> ExplicitSpace:
-    """The Boolean lattice of all subsets of the universe."""
+def powerset_space(universe_size: int, budgets: Budgets = DEFAULT_BUDGETS) -> ExplicitSpace:
+    """The Boolean lattice of all subsets of the universe.  Its 2**n sets are
+    checked against family_cap before any is listed: 2**n > family_cap iff
+    n >= family_cap.bit_length(), which builds no n-bit int."""
     if universe_size < 1:
         raise InputError("universe must have at least one atom")
-    if universe_size > 20:
-        raise BudgetExceeded("family_cap", DEFAULT_BUDGETS.family_cap)
-    return space_from_masks(universe_size, range(1 << universe_size))
+    if universe_size >= budgets.family_cap.bit_length():
+        raise BudgetExceeded("family_cap", budgets.family_cap)
+    return space_from_masks(universe_size, range(1 << universe_size), budgets=budgets)
 
 
 def _require_explicit(space: ClosureSpace, op: str) -> ExplicitSpace:
@@ -471,25 +468,15 @@ def _require_explicit(space: ClosureSpace, op: str) -> ExplicitSpace:
     return space
 
 
-def _first_between(sp: ExplicitSpace, lo: int, hi: int) -> int:
-    """First closed set in canonical order strictly between lo and hi, which
-    the cover relation says exists unless the family is not closed under
-    intersection.
-
-    The closed sets between lo and hi are the supersets of lo that hold no
-    atom outside hi: extent_of(lo) less the extents of those atoms.
-    """
-    extent = sp.atom_extents()
-    outside = 0
-    for q in bit_members(sp.full_mask() & ~hi):
-        outside |= extent[q]
-    between = sp.extent_of(lo) & ~outside
-    while between:
-        low = between & -between
-        m = sp.masks[low.bit_length() - 1]
-        if m != lo and m != hi:
-            return m
-        between ^= low
+def _cover_inside(sp: ExplicitSpace, lo: int, hi: int) -> int:
+    """First upper cover of lo inside hi, for a closed hi strictly above lo
+    that does not cover it.  The first closed set strictly between lo and hi
+    in canonical order has the fewest atoms of any, so nothing closed lies
+    strictly between it and lo: it is this cover.  No cover lies inside hi
+    only when the family is not closed under intersection."""
+    for c in sp.upper_cover_masks(lo):
+        if not c & ~hi:
+            return c
     raise ContractViolation("the family is not closed under intersection")
 
 
@@ -522,7 +509,9 @@ def find_covering_violation(space: ClosureSpace) -> CoveringViolation | None:
     a ∨ p covers a.  Two upper covers of a meet in a, and an atom p inside
     an upper cover u has a ∨ p = u, so the property holds at a iff the upper
     covers of a together hold every atom; the first atom they miss is the
-    first violation.  Like the cover relation, this assumes the family is
+    first violation.  The set named between is the first upper cover of a
+    inside a ∨ p, which is the first closed set strictly between the two in
+    canonical order.  Like the cover relation, this assumes the family is
     closed under intersection.
     """
     sp = _require_explicit(space, "covering property")
@@ -535,7 +524,7 @@ def find_covering_violation(space: ClosureSpace) -> CoveringViolation | None:
         if missing:
             p = (missing & -missing).bit_length() - 1
             hi = sp.closure_mask(lo | 1 << p)
-            between = _first_between(sp, lo, hi)
+            between = _cover_inside(sp, lo, hi)
             return CoveringViolation(
                 bit_members(lo), p, bit_members(hi), bit_members(between)
             )
@@ -609,9 +598,11 @@ def find_dual_covering_violation(space: ClosureSpace) -> DualCoveringViolation |
     order, nothing sits strictly between a ∩ x and a).
 
     The only closed sets containing a coatom x are x and the universe, so
-    a ∨ x = universe iff a ⊄ x.  Like the cover relation, the test that a
-    covers a ∩ x assumes the family is closed under intersection; an a ∩ x
-    outside the family raises ContractViolation.
+    a ∨ x = universe iff a ⊄ x.  a covers a ∩ x iff it is among the upper
+    covers of a ∩ x; if not, the set named between is the first of those
+    covers inside a, the first closed set strictly between in canonical
+    order.  Like the cover relation, this assumes the family is closed under
+    intersection; an a ∩ x outside the family raises ContractViolation.
     """
     sp = _require_explicit(space, "dual covering property")
     for a in sp.masks:
@@ -626,7 +617,7 @@ def find_dual_covering_violation(space: ClosureSpace) -> DualCoveringViolation |
                     bit_members(a),
                     bit_members(x),
                     bit_members(lo),
-                    bit_members(_first_between(sp, lo, a)),
+                    bit_members(_cover_inside(sp, lo, a)),
                 )
     return None
 

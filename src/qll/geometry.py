@@ -285,7 +285,9 @@ def sigma_down(v: Subspace) -> int:
     return mask
 
 
-def mo_lattice(n: int) -> tuple[ExplicitSpace, OrthogonalityRelation]:
+def mo_lattice(
+    n: int, budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[ExplicitSpace, OrthogonalityRelation]:
     """MO_n: 2n atoms, closed sets are empty, singletons and the universe;
     atom 2k is orthogonal to atom 2k+1."""
     if n < 2:
@@ -295,7 +297,7 @@ def mo_lattice(n: int) -> tuple[ExplicitSpace, OrthogonalityRelation]:
     rel = OrthogonalityRelation.from_pairs(
         size, [(2 * k, 2 * k + 1) for k in range(n)]
     )
-    return space_from_masks(size, masks), rel
+    return space_from_masks(size, masks, budgets=budgets), rel
 
 
 def similitude_group(

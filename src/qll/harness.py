@@ -104,7 +104,7 @@ class NamedInstance:
 
 def _build_mo(n: int) -> Callable[[Budgets], NamedInstance]:
     def build(budgets: Budgets) -> NamedInstance:
-        space, rel = mo_lattice(n)
+        space, rel = mo_lattice(n, budgets)
         return NamedInstance(f"mo{n}", space, relation=rel)
 
     return build
@@ -112,7 +112,7 @@ def _build_mo(n: int) -> Callable[[Budgets], NamedInstance]:
 
 def _build_boolean(n: int) -> Callable[[Budgets], NamedInstance]:
     def build(budgets: Budgets) -> NamedInstance:
-        space = powerset_space(n)
+        space = powerset_space(n, budgets)
         # in a powerset the complement of an atom is everything else, so any
         # two distinct atoms are orthogonal
         rel = OrthogonalityRelation.from_pairs(

@@ -200,6 +200,17 @@ def test_budget_flag_on_build(capsys):
     assert data["budget"] == "family_cap"
 
 
+@pytest.mark.parametrize("name", ["boolean3", "mo3"])
+def test_budget_family_on_base_builds(capsys, name):
+    # both bases have 8 closed sets: a cap of 7 runs out and 8 builds them
+    code, out, _ = _run(capsys, "build", name, "--budget-family", "7")
+    assert code == 2
+    assert json.loads(out) == {"verdict": "inconclusive-budget", "budget": "family_cap", "cap": 7}
+    code, out, _ = _run(capsys, "build", name, "--budget-family", "8")
+    assert code == 0
+    assert len(json.loads(out)["closed_sets"]) == 8
+
+
 @pytest.mark.parametrize("flag", ["--budget-family", "--budget-nodes", "--budget-subspaces"])
 def test_negative_budget_is_a_usage_error(capsys, flag):
     # a negative cap is bad input, not a budget that ran out

@@ -8,6 +8,8 @@ from qll.atomset import bit_members, lex_sorted, mask_from_members
 from qll.budgets import DEFAULT_BUDGETS
 from qll.closure import (
     ExplicitSpace,
+    find_covering_violation,
+    find_dual_covering_violation,
     powerset_space,
     space_from_masks,
     validate_simple_closure_space,
@@ -21,6 +23,8 @@ from helpers import (
     _canonical,
     _lex,
     grid_set,
+    linear_covering_violation,
+    linear_dual_covering_violation,
     naive_close_under_intersections,
     pairwise_close_under_intersections,
     pairwise_validate_simple_closure_space,
@@ -78,6 +82,20 @@ def test_closure_is_minimal(seed_masks, mask):
 
 
 masks16 = st.integers(min_value=0, max_value=2**16 - 1)
+
+
+def _json(violation):
+    return None if violation is None else violation.to_json()
+
+
+@given(seeds)
+@example([0b00011, 0b00101, 0b01111])
+def test_covering_witnesses_match_linear_scans_on_random_families(seed_masks):
+    # several covers of a set can lie inside one join here, so the witness
+    # must be the first of them in canonical order
+    space = _space_from_seed(seed_masks)
+    assert _json(find_covering_violation(space)) == linear_covering_violation(space)
+    assert _json(find_dual_covering_violation(space)) == linear_dual_covering_violation(space)
 
 
 @given(masks16)
