@@ -15,7 +15,6 @@ from .closure import (
     ValidationReport,
     find_covering_violation,
     find_dual_covering_violation,
-    is_atomistic,
     is_coatomistic,
     powerset_space,
     space_from_json,

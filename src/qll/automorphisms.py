@@ -23,7 +23,9 @@ Pair profiles are what make the search practical on product spaces: atoms in
 a common row or column of a product share many closed sets, generic pairs
 share few, and any assignment mixing the two dies within a couple of levels.
 A full family check at each leaf keeps the search sound regardless of how
-weak the profiles are on a given space.
+weak the profiles are on a given space.  It is the one check of the
+generators: decompose_generators (thm7.5, `qll aut`) splits them without
+another family scan; decompose_automorphism checks any other map first.
 """
 
 from __future__ import annotations
@@ -347,7 +349,8 @@ def decompose_automorphism(
     to rows and columns to columns, onto a column means the map swaps them.
     Raises DecompositionFailed (with a witness) if u does not send rows and
     columns coherently; for the products built here that would falsify the
-    decomposition theorem on the instance.
+    decomposition theorem on the instance.  A u that is not an automorphism
+    of the product space raises ContractViolation.
 
     The triple reproduces u by construction: u is a bijection, so it maps
     row i ∩ column j = {(i, j)} to u(row i) ∩ u(column j), the pair that
@@ -356,6 +359,27 @@ def decompose_automorphism(
     space = _require_explicit(instance.space, "decompose_automorphism")
     if not is_automorphism(space, u):
         raise ContractViolation("u is not an automorphism of the product space")
+    return _decompose(instance, u)
+
+
+def decompose_generators(
+    instance: "ProductInstance", budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[StabilizerChain, tuple[Decomposition | DecompositionFailed, ...]]:
+    """automorphism_chain of a product space, with each generator's
+    Decomposition or DecompositionFailed in order.  The chain's leaf check
+    has verified every generator, so none is checked again."""
+    chain = automorphism_chain(instance.space, budgets)
+    splits: list[Decomposition | DecompositionFailed] = []
+    for u in chain.generators:
+        try:
+            splits.append(_decompose(instance, u))
+        except DecompositionFailed as exc:
+            splits.append(exc)
+    return chain, tuple(splits)
+
+
+def _decompose(instance: "ProductInstance", u: AtomPermutation) -> Decomposition:
+    """decompose_automorphism on a u known to be an automorphism."""
     grid = instance.grid
     n1, n2 = grid.n1, grid.n2
     left = _require_explicit(instance.left, "decompose_automorphism")

@@ -12,10 +12,10 @@ import json
 import os
 import sys
 
-from .automorphisms import automorphism_chain, decompose_automorphism, orbits
+from .automorphisms import Decomposition, automorphism_chain, decompose_generators, orbits
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import _dac_checks, find_covering_violation
-from .errors import BudgetExceeded, DecompositionFailed, QllError
+from .errors import BudgetExceeded, InputError, QllError
 from .export import export_dot
 from .harness import (
     NamedInstance,
@@ -27,8 +27,8 @@ from .harness import (
     verify,
 )
 from .ortho import (
+    _orthomodularity_violation,
     find_orthocomplementations,
-    find_orthomodularity_violation,
     ortho_from_atom_orthogonality,
 )
 from .products import check_p123
@@ -71,10 +71,13 @@ def _budgets(args: argparse.Namespace) -> Budgets:
 def _emit(args: argparse.Namespace, payload, raw: bool = False) -> None:
     text = payload if raw else json.dumps(payload, indent=2)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from None
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         try:
@@ -134,7 +137,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        viol = find_orthomodularity_violation(inst.space, cons.ortho)
+        viol = _orthomodularity_violation(inst.space, cons.ortho)
         payload = {"orthomodular": viol is None, "witness": _witness(viol)}
         return _answer(args, inst, payload, viol is None)
 
@@ -170,24 +173,23 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_aut(args: argparse.Namespace) -> int:
     budgets = _budgets(args)
     inst = resolve_instance(args.instance, budgets)
-    chain = automorphism_chain(inst.space, budgets)
+    if inst.product is None:
+        chain, splits = automorphism_chain(inst.space, budgets), None
+    else:
+        chain, splits = decompose_generators(inst.product, budgets)
     payload: dict = {
         "instance": inst.name,
         "order": chain.order,
         "orbits": [list(o) for o in orbits(chain.generators, inst.space.universe_size)],
         "generators": [u.to_json() for u in chain.generators],
     }
-    if inst.product is not None:
-        table = []
-        for u in chain.generators:
-            try:
-                dec = decompose_automorphism(inst.product, u)
-                table.append({"image": list(u.image), **dec.to_json()})
-            except DecompositionFailed as exc:
-                table.append(
-                    {"image": list(u.image), "decomposes": False, "witness": exc.witness}
-                )
-        payload["decompositions"] = table
+    if splits is not None:
+        payload["decompositions"] = [
+            {"image": list(u.image), **split.to_json()}
+            if isinstance(split, Decomposition)
+            else {"image": list(u.image), "decomposes": False, "witness": split.witness}
+            for u, split in zip(chain.generators, splits)
+        ]
     _emit(args, payload)
     return EXIT_OK
 
@@ -283,13 +285,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except BudgetExceeded as exc:
-        payload = {"verdict": "inconclusive-budget", "budget": exc.budget_name, "cap": exc.cap}
-        _emit(args, json.dumps(payload), raw=True)
-        print(f"budget {exc.budget_name} (cap {exc.cap}) ran out", file=sys.stderr)
-        return EXIT_BUDGET
-    except QllError as exc:
+        try:
+            return args.fn(args)
+        except BudgetExceeded as exc:
+            payload = {"verdict": "inconclusive-budget", "budget": exc.budget_name, "cap": exc.cap}
+            _emit(args, json.dumps(payload), raw=True)
+            print(f"budget {exc.budget_name} (cap {exc.cap}) ran out", file=sys.stderr)
+            return EXIT_BUDGET
+    except QllError as exc:  # also an unwritable --out in the budget handler
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

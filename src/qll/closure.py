@@ -531,17 +531,6 @@ def find_covering_violation(space: ClosureSpace) -> CoveringViolation | None:
     return None
 
 
-def is_atomistic(space: ClosureSpace) -> bool:
-    """Every closed set is the join of the atoms below it.
-
-    Always True for an explicit space: each member is a set of atoms and,
-    being one of the closed sets it is intersected over, its own closure.
-    Kept so reports and `qll check --property dac` can name the property.
-    """
-    _require_explicit(space, "is_atomistic")
-    return True
-
-
 def is_coatomistic(space: ClosureSpace) -> bool:
     """Every closed set is an intersection of coatoms (the universe being the
     empty intersection).
@@ -624,11 +613,12 @@ def find_dual_covering_violation(space: ClosureSpace) -> DualCoveringViolation |
 
 def _dac_checks(space: ClosureSpace) -> tuple:
     """Atomistic, coatomistic, the covering and dual covering violations
-    (None when the property holds) and dac, the conjunction of the four."""
-    atomistic, coatomistic = is_atomistic(space), is_coatomistic(space)
+    (None when the property holds) and dac, the conjunction of the four.
+    Atomistic holds by construction: a member of an explicit space is its own
+    closure, and is_coatomistic refuses any other space."""
+    coatomistic = is_coatomistic(space)
     cov, dual = find_covering_violation(space), find_dual_covering_violation(space)
-    dac = atomistic and coatomistic and cov is None and dual is None
-    return atomistic, coatomistic, cov, dual, dac
+    return True, coatomistic, cov, dual, coatomistic and cov is None and dual is None
 
 
 # ---------------------------------------------------------------------------

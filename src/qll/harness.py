@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .atomset import bit_members
-from .automorphisms import automorphism_chain, decompose_automorphism
+from .automorphisms import automorphism_chain, decompose_generators
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .closure import (
     ExplicitSpace,
@@ -38,8 +38,8 @@ from .gf import mat_mul, projective_points
 from .ortho import (
     OrthoConstruction,
     OrthogonalityRelation,
+    _orthomodularity_violation,
     find_orthocomplementations,
-    find_orthomodularity_violation,
     four_atom_condition,
     ortho_from_atom_orthogonality,
     third_atom_condition,
@@ -420,7 +420,7 @@ def _pipeline_bottom_not_orthomodular(
     checks.append(_check("cross_relation_is_ortho", cons.ok, failure=cons.failure))
     if cons.ok:
         certs["ortho"] = cons.ortho.to_json()
-        viol = find_orthomodularity_violation(sep.space, cons.ortho)
+        viol = _orthomodularity_violation(sep.space, cons.ortho)
         _witness_check(
             checks, certs, "orthomodularity_fails", viol, True, "orthomodularity_witness"
         )
@@ -516,14 +516,12 @@ def _pipeline_automorphisms_decompose(
 
         # the maps that split into a factor pair, swapped or not, form a
         # subgroup, so the group decomposes iff every generator does
-        chain = automorphism_chain(inst.space, budgets)
+        chain, splits = decompose_generators(inst, budgets)
         order = chain.order
         failure = None
-        for u in chain.generators:
-            try:
-                decompose_automorphism(inst, u)
-            except DecompositionFailed as exc:
-                failure = {"permutation": list(u.image), "witness": exc.witness}
+        for u, split in zip(chain.generators, splits):
+            if isinstance(split, DecompositionFailed):
+                failure = {"permutation": list(u.image), "witness": split.witness}
                 break
 
         checks.append(

@@ -32,12 +32,15 @@ is_coatomistic call decides every leaf and no leaf is checked on its own:
 * a ⊆ b gives b' ⊆ a', so an involutive ' is a dual automorphism and
   a ∨ a' = (a' ∧ a)' = 0' = 1.
 
-verify_orthocomplementation remains for maps from outside the search.
+verify_orthocomplementation remains for maps from outside the search.  Each
+map is checked once: thm9.1 and `qll check --property omod` scan the map
+ortho_from_atom_orthogonality has checked, find_orthomodularity_violation
+any other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .atomset import bit_members, members_mask
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -106,10 +109,6 @@ class OrthoMap:
 
     space: ClosureSpace
     atom_image: tuple[int, ...]
-    # verify_orthocomplementation's verdict on space, kept after the first call
-    _verdict: "OrthoVerification | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         n = self.space.universe_size
@@ -144,14 +143,6 @@ class OrthoVerification:
     law: str | None = None
     counterexample: dict | None = None
 
-    def to_json(self) -> dict:
-        out: dict = {"ok": self.ok}
-        if self.law is not None:
-            out["law"] = self.law
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
-
 
 def verify_orthocomplementation(
     space: ClosureSpace, candidate: OrthoMap
@@ -161,54 +152,35 @@ def verify_orthocomplementation(
     The candidate's atom images must be coatoms (that much is an input error,
     not a verdict: a non-coatom image is not even a candidate).  Order
     reversal needs no check: a' is the intersection of the images of a's
-    atoms, so a ⊆ b gives b' ⊆ a' by construction.  The verdict on the map's
-    own space is kept on the map, so each map is checked once.
+    atoms, so a ⊆ b gives b' ⊆ a' by construction.
     """
     sp = _require_explicit(space, "verify_orthocomplementation")
-    if candidate._verdict is not None and candidate.space is sp:
-        return candidate._verdict
     coatom_set = set(sp.coatom_masks())
     for p, img in enumerate(candidate.atom_image):
         if img not in coatom_set:
             raise InputError(f"image of atom {p} is not a coatom: {bit_members(img)}")
-    verdict = _first_law_failure(sp, candidate)
-    if candidate.space is sp:
-        object.__setattr__(candidate, "_verdict", verdict)
-    return verdict
+    return _first_law_failure(sp, candidate)
 
 
 def _first_law_failure(sp: ExplicitSpace, candidate: OrthoMap) -> OrthoVerification:
+    """verify_orthocomplementation on a candidate whose images are coatoms."""
     full = sp.full_mask()
     for m in sp.masks:
         c = candidate.complement_mask(m)
         if c not in sp._mask_set:
-            return OrthoVerification(
-                False,
-                "complement_closed",
-                {"a": list(bit_members(m)), "a_prime": list(bit_members(c))},
-            )
-        if m & c:
-            return OrthoVerification(
-                False,
-                "meet_is_bottom",
-                {"a": list(bit_members(m)), "a_prime": list(bit_members(c))},
-            )
-        if sp.closure_mask(m | c) != full:
-            return OrthoVerification(
-                False,
-                "join_is_top",
-                {"a": list(bit_members(m)), "a_prime": list(bit_members(c))},
-            )
-        if candidate.complement_mask(c) != m:
-            return OrthoVerification(
-                False,
-                "involution",
-                {
-                    "a": list(bit_members(m)),
-                    "a_prime": list(bit_members(c)),
-                    "a_double_prime": list(bit_members(candidate.complement_mask(c))),
-                },
-            )
+            law = "complement_closed"
+        elif m & c:
+            law = "meet_is_bottom"
+        elif sp.closure_mask(m | c) != full:
+            law = "join_is_top"
+        elif candidate.complement_mask(c) != m:
+            law = "involution"
+        else:
+            continue
+        witness = {"a": list(bit_members(m)), "a_prime": list(bit_members(c))}
+        if law == "involution":
+            witness["a_double_prime"] = list(bit_members(candidate.complement_mask(c)))
+        return OrthoVerification(False, law, witness)
     return OrthoVerification(True)
 
 
@@ -367,7 +339,7 @@ def ortho_from_atom_orthogonality(
                 },
             )
     candidate = OrthoMap(sp, tuple(relation.perp_masks))
-    verdict = verify_orthocomplementation(sp, candidate)
+    verdict = _first_law_failure(sp, candidate)  # its images are coatoms
     if not verdict.ok:
         return OrthoConstruction(
             None, {"law": verdict.law, "counterexample": verdict.counterexample}
@@ -391,9 +363,7 @@ def find_orthomodularity_violation(
     """First pair a <= b with b != a ∨ (b ∧ a'), or None.
 
     The ortho map must verify; feeding an unverified candidate is a contract
-    violation because the law only makes sense for a genuine complement.  For
-    each a, b ranges over a's closed supersets as the closure kernel lists
-    them (extent_of), in canonical order.
+    violation because the law only makes sense for a genuine complement.
     """
     sp = _require_explicit(space, "orthomodularity")
     verdict = verify_orthocomplementation(sp, ortho)
@@ -401,6 +371,14 @@ def find_orthomodularity_violation(
         raise ContractViolation(
             f"ortho map fails law '{verdict.law}'; orthomodularity is undefined"
         )
+    return _orthomodularity_violation(sp, ortho)
+
+
+def _orthomodularity_violation(
+    sp: ExplicitSpace, ortho: OrthoMap
+) -> OrthomodularityViolation | None:
+    """find_orthomodularity_violation on a verified map: for each a, b ranges
+    over a's closed supersets (extent_of), in canonical order."""
     masks = sp.masks
     for a in masks:
         ca = ortho.complement_mask(a)

@@ -4,6 +4,7 @@ products, each as built and under two seeded atom relabellings."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from functools import cache
@@ -16,7 +17,9 @@ from qll.automorphisms import (
     AtomPermutation,
     automorphism_chain,
     automorphism_group,
+    Decomposition,
     decompose_automorphism,
+    decompose_generators,
     is_automorphism,
     orbits,
 )
@@ -24,7 +27,7 @@ from qll.budgets import DEFAULT_BUDGETS
 from qll.cli import main
 from qll.closure import powerset_space, space_from_masks
 from qll.errors import BudgetExceeded, DecompositionFailed
-from qll.harness import resolve_base, resolve_instance
+from qll.harness import build_product, resolve_base, resolve_instance, verify
 from qll.products import sep_product, star_product
 
 
@@ -155,3 +158,57 @@ def test_aut_payload_matches_oracle(name, capsys):
     expected = _oracle_aut_payload(name)
     assert json.loads(out) == expected
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+# sha256 of the thm7.5 report (elapsed_seconds removed, keys sorted) and of
+# the aut command's stdout, taken before decompose_generators replaced the
+# per-generator decompose_automorphism calls
+THM75_DIGESTS = {
+    ("mo2", "mo2"): "34198c65ab366d90e28ab9f54f8b34d982558edb372c3d9253ae0ffa45606ac8",
+    ("mo2", "mo3"): "255b125d96a7b2f241cfab45e8d5c60f0467530efba2410d589d4e5b28297bb8",
+}
+AUT_STDOUT_DIGESTS = {
+    "star(mo2,mo3)": "a9c5dd10842a42ecba2bdb97437682afc7f410347955173bcfb605d894078175",
+    "sep(boolean2,boolean2)": "fbb807a6f94aa05e4c4d01b8c2ae36b18aa0e720f5e3e42f69936601bc5a470c",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_chain_generators_are_not_rescanned(monkeypatch, capsys):
+    # the chain's leaf check is the one check of each generator; thm7.5 and
+    # the aut command decompose generators without is_automorphism
+    def refuse(*args):
+        raise AssertionError("a chain generator was checked again")
+
+    monkeypatch.setattr("qll.automorphisms.is_automorphism", refuse)
+    for (left, right), digest in THM75_DIGESTS.items():
+        data = verify("thm7.5", left, right).to_json()
+        data.pop("elapsed_seconds")
+        assert _sha256(json.dumps(data, sort_keys=True)) == digest, (left, right)
+    capsys.readouterr()
+    for name, digest in AUT_STDOUT_DIGESTS.items():
+        assert main(["aut", name]) == 0
+        assert _sha256(capsys.readouterr().out) == digest, name
+
+
+@pytest.mark.parametrize(
+    "left,right", [("mo2", "mo2"), ("mo2", "mo3"), ("boolean2", "boolean2")]
+)
+@pytest.mark.parametrize("kind", ["sep", "star"])
+def test_decompose_generators_matches_decompose_automorphism(kind, left, right):
+    inst = build_product(kind, resolve_base(left), resolve_base(right))
+    chain, splits = decompose_generators(inst)
+    assert chain.generators == automorphism_chain(inst.space).generators
+    assert len(splits) == len(chain.generators)
+    for u, split in zip(chain.generators, splits):
+        try:
+            expected = decompose_automorphism(inst, u)
+        except DecompositionFailed as exc:
+            assert isinstance(split, DecompositionFailed)
+            assert (str(split), split.witness) == (str(exc), exc.witness)
+        else:
+            assert isinstance(split, Decomposition)
+            assert split == expected

@@ -238,6 +238,24 @@ def test_budget_payload_honours_out(capsys, tmp_path):
     }
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "mo2"], ["build", "top(mo3,mo3)", "--budget-family", "10"]],
+    ids=["result", "budget"],
+)
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
+    # exit 1 means falsified, so a path that cannot be written is bad input:
+    # one error line, whether the result or the budget payload was written
+    path = tmp_path / target
+    code, out, err = _run(capsys, *argv, "--out", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
 def _child_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -19,7 +19,6 @@ from qll.closure import (
     ImplicitSpace,
     find_covering_violation,
     find_dual_covering_violation,
-    is_atomistic,
     is_coatomistic,
     powerset_space,
     space_from_json,
@@ -133,7 +132,6 @@ def test_covers_and_coatoms(mo2_space):
 
 
 def test_atomistic_and_coatomistic(mo2_space):
-    assert is_atomistic(mo2_space)
     assert is_coatomistic(mo2_space)
     # a three-chain universe {0,1}: family without {1} is not atomistic, and
     # not a simple closure space either; use a valid non-coatomistic one

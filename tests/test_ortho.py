@@ -200,7 +200,7 @@ def test_orthomodularity_needs_valid_map(mo2):
 
 def test_each_ortho_map_is_verified_once(monkeypatch, capsys):
     # the cross map is checked when it is built; the orthomodularity scan
-    # and the report read that verdict instead of checking the map again
+    # and the report take the built map as checked and do not check it again
     checked = []
     check = qll.ortho._first_law_failure
 
